@@ -6,9 +6,7 @@
 //! are scaled down to laptop size; set `TRIPRO_SCALE=tiny|small|medium` to
 //! trade fidelity for runtime (default: `small`).
 
-use tripro::{
-    Accel, Engine, ExecMode, ObjectStore, Paradigm, QueryConfig, StatsSnapshot, StoreConfig,
-};
+use tripro::{Accel, Engine, ObjectStore, Paradigm, QueryConfig, StatsSnapshot, StoreConfig};
 use tripro_mesh::TriMesh;
 use tripro_synth::{DatasetConfig, VesselConfig};
 
@@ -210,7 +208,7 @@ impl Workloads {
     }
 
     /// [`run`](Workloads::run) with an explicit driver thread count
-    /// (used by the thread-scaling rows of the bench snapshot).
+    /// (used by the tracing-overhead guard, `bench_obs`).
     pub fn run_with_threads(
         &self,
         test: TestId,
@@ -219,24 +217,8 @@ impl Workloads {
         lods: Option<Vec<usize>>,
         driver_threads: usize,
     ) -> CellResult {
-        self.run_with_exec(test, paradigm, accel, lods, driver_threads, ExecMode::Auto)
-    }
-
-    /// [`run`](Workloads::run) with an explicit thread count *and* driver
-    /// paradigm (used by the pipelined-vs-phased overlap rows).
-    pub fn run_with_exec(
-        &self,
-        test: TestId,
-        paradigm: Paradigm,
-        accel: Accel,
-        lods: Option<Vec<usize>>,
-        driver_threads: usize,
-        exec: ExecMode,
-    ) -> CellResult {
         let engine = self.engine(test);
-        let mut cfg = QueryConfig::new(paradigm, accel)
-            .with_threads(driver_threads)
-            .with_exec(exec);
+        let mut cfg = QueryConfig::new(paradigm, accel).with_threads(driver_threads);
         if paradigm == Paradigm::FilterProgressiveRefine {
             let lods = lods.unwrap_or_else(|| self.profile_lods(test, accel));
             cfg = cfg.with_lods(lods);

@@ -501,32 +501,6 @@ pub fn metrics(a: &Parsed) -> Result<(), CliError> {
     let addr = a.get("addr").unwrap_or("127.0.0.1:3750");
     let mut client =
         tripro_serve::Client::connect(addr).map_err(|e| CliError::msg(format!("{addr}: {e}")))?;
-    if a.has("stages") {
-        let s = client
-            .stats_ex()
-            .map_err(|e| CliError::msg(format!("stats-ex request failed: {e}")))?;
-        eprintln!(
-            "service: {} admitted, {} completed, {} failed, {} shed, \
-             {} deadline-expired, {} protocol errors",
-            s.admitted, s.completed, s.failed, s.shed, s.deadline_expired, s.protocol_errors
-        );
-        outln!("stage\tbusy_s\titems");
-        for (i, name) in tripro::stats::STAGE_NAMES.iter().enumerate() {
-            outln!(
-                "{name}\t{:.3}\t{}",
-                s.stage_ns[i] as f64 / 1e9,
-                s.stage_items[i]
-            );
-        }
-        outln!("queue\tstalls");
-        for (i, name) in ["gen_decode", "decode_build", "build_eval"]
-            .iter()
-            .enumerate()
-        {
-            outln!("{name}\t{}", s.queue_stalls[i]);
-        }
-        return Ok(());
-    }
     let text = client
         .metrics()
         .map_err(|e| CliError::msg(format!("metrics request failed: {e}")))?;

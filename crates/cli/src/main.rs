@@ -9,7 +9,7 @@
 //! tripro query within    --target DIR --source DIR --distance D [...]
 //! tripro query nn        --target DIR --source DIR [--k K] [...]
 //! tripro serve           --target DIR --source DIR [--addr A] [...]
-//! tripro metrics         [--addr A] [--check] [--stages]
+//! tripro metrics         [--addr A] [--check]
 //! tripro trace           --target DIR --source DIR --slow MS [--kind K] | --addr A
 //! ```
 
@@ -108,15 +108,13 @@ USAGE:
       --allow-partial lets kNN answer with a partial-flagged result when
       a shard fails instead of a typed error.
 
-  tripro metrics [--addr HOST:PORT] [--check] [--stages]
+  tripro metrics [--addr HOST:PORT] [--check]
       Fetch a running server's metrics registry (a v2 Metrics frame) and
       print the Prometheus text exposition. Pointed at a coordinator, the
       exposition is federated: every shard is scraped over v6 MetricsBin
       frames and exact-merged into one document with a node label (plus a
       node=\"cluster\" aggregate). --check validates the exposition format
-      and fails on malformed output. --stages instead issues a v3 StatsEx
-      frame and prints the pipelined executor's per-stage wall time, item
-      counts and queue-full stalls. Default --addr 127.0.0.1:3750. See
+      and fails on malformed output. Default --addr 127.0.0.1:3750. See
       docs/observability.md for the metric inventory.
 
   tripro trace --target DIR --source DIR [--slow MS] [--kind intersect|within|nn|knn]

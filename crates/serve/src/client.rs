@@ -186,8 +186,8 @@ impl Client {
         }
     }
 
-    /// Extended stats: service counters plus the engine's per-stage
-    /// pipeline breakdown (v3+); answered inline even under overload.
+    /// Extended stats: service counters plus the engine's cumulative time
+    /// breakdown (v3+); answered inline even under overload.
     pub fn stats_ex(&mut self) -> Result<StatsExPayload, ServeError> {
         match self.roundtrip(&Request::StatsEx)? {
             Response::StatsExOk(s) => Ok(s),

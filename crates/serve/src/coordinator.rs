@@ -270,9 +270,7 @@ impl Core {
             cache_hits: 0,
             cache_misses: 0,
             decodes: 0,
-            stage_ns: [0; 4],
-            stage_items: [0; 4],
-            queue_stalls: [0; 3],
+            reserved: [0; 11],
         }
     }
 

@@ -26,7 +26,7 @@ pub const MAGIC: u16 = 0x3D50;
 
 /// The protocol version this build speaks. Version 2 added the
 /// `Metrics`/`MetricsOk` frame pair; version 3 adds `StatsEx`/`StatsExOk`
-/// (extended stats: failure counts plus the engine's per-stage pipeline
+/// (extended stats: failure counts plus the engine's cumulative time
 /// breakdown); version 4 appends a `retry_after_ms` backoff hint to the
 /// `Error` frame (optional-trailing on decode, so v1–v3 error frames
 /// still parse). Version 5 adds the sharded-tier machinery: a node-role
@@ -260,8 +260,7 @@ pub struct StatsPayload {
 
 /// Extended counters reported by a [`Response::StatsExOk`] frame (v3+):
 /// the v1 `StatsPayload` fields plus execution failures and the engine's
-/// cumulative time breakdown, including the pipelined executor's
-/// per-stage wall time and queue-stall counts.
+/// cumulative time breakdown.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsExPayload {
     // Service lifecycle (StatsPayload superset).
@@ -283,13 +282,10 @@ pub struct StatsExPayload {
     pub cache_hits: u64,
     pub cache_misses: u64,
     pub decodes: u64,
-    /// Busy nanoseconds per pipeline stage (generate/decode/build/eval).
-    pub stage_ns: [u64; 4],
-    /// Items processed per pipeline stage.
-    pub stage_items: [u64; 4],
-    /// Backpressure stalls per inter-stage queue
-    /// (gen→decode, decode→build, build→eval).
-    pub queue_stalls: [u64; 3],
+    /// Eleven slots that carried the removed pipelined executor's stage
+    /// and stall counters. Kept so the frame stays 26 `u64`s; nodes write
+    /// zero (a served node never ran a whole join, so it always did).
+    pub reserved: [u64; 11],
 }
 
 /// Client → server frames.
@@ -312,8 +308,7 @@ pub enum Request {
     /// answered inline even under overload (v2+).
     Metrics,
     /// Extended stats (v3+): service counters plus the engine's
-    /// cumulative per-stage pipeline breakdown; answered inline even
-    /// under overload.
+    /// cumulative time breakdown; answered inline even under overload.
     StatsEx,
     /// Shard-placement probe (v5+): role, shard map position, store
     /// sizes; answered inline even under overload.
@@ -871,13 +866,7 @@ pub fn encode_response_traced(
             put_u64(&mut p, s.cache_hits);
             put_u64(&mut p, s.cache_misses);
             put_u64(&mut p, s.decodes);
-            for v in s.stage_ns {
-                put_u64(&mut p, v);
-            }
-            for v in s.stage_items {
-                put_u64(&mut p, v);
-            }
-            for v in s.queue_stalls {
+            for v in s.reserved {
                 put_u64(&mut p, v);
             }
             K_STATS_EX_OK
@@ -1054,9 +1043,13 @@ pub fn decode_response_body_traced(
             cache_hits: c.u64()?,
             cache_misses: c.u64()?,
             decodes: c.u64()?,
-            stage_ns: [c.u64()?, c.u64()?, c.u64()?, c.u64()?],
-            stage_items: [c.u64()?, c.u64()?, c.u64()?, c.u64()?],
-            queue_stalls: [c.u64()?, c.u64()?, c.u64()?],
+            reserved: {
+                let mut r = [0u64; 11];
+                for v in &mut r {
+                    *v = c.u64()?;
+                }
+                r
+            },
         }),
         K_SHARD_INFO_OK => Response::ShardInfoOk(ShardInfoPayload {
             role: NodeRole::from_u8(c.u8()?)?,
@@ -1543,9 +1536,7 @@ mod tests {
             cache_hits: 13,
             cache_misses: 14,
             decodes: 15,
-            stage_ns: [16, 17, 18, 19],
-            stage_items: [20, 21, 22, 23],
-            queue_stalls: [24, 25, 26],
+            reserved: [16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26],
         }));
         roundtrip_response(Response::ShardInfoOk(ShardInfoPayload {
             role: NodeRole::Engine,

@@ -379,17 +379,6 @@ impl Core {
     fn stats_ex_payload(&self) -> StatsExPayload {
         let s = self.stats.snapshot();
         let e = self.exec_stats.snapshot();
-        let arr4 = |v: &[u64]| {
-            let mut a = [0u64; 4];
-            for (dst, src) in a.iter_mut().zip(v) {
-                *dst = *src;
-            }
-            a
-        };
-        let mut queue_stalls = [0u64; 3];
-        for (dst, src) in queue_stalls.iter_mut().zip(&e.queue_stalls) {
-            *dst = *src;
-        }
         StatsExPayload {
             admitted: s.admitted,
             shed: s.shed,
@@ -406,9 +395,7 @@ impl Core {
             cache_hits: e.cache_hits,
             cache_misses: e.cache_misses,
             decodes: e.decodes,
-            stage_ns: arr4(&e.stage_ns),
-            stage_items: arr4(&e.stage_items),
-            queue_stalls,
+            reserved: [0; 11],
         }
     }
 

@@ -22,10 +22,10 @@ pub enum Error {
     /// was raised) before refinement completed. The partial answer is
     /// discarded rather than returned as if it were exact.
     DeadlineExceeded,
-    /// An internal invariant failed: a contained panic inside a worker or
-    /// pipeline stage, or a fault injected through a
-    /// [`fault`](crate::fault) failpoint. `context` names the containment
-    /// site (`"pipeline"`, failpoint site, ...), `message` carries the
+    /// An internal invariant failed: a contained panic inside a request
+    /// handler, or a fault injected through a [`fault`](crate::fault)
+    /// failpoint. `context` names the containment site
+    /// (`"serve.request"`, failpoint site, ...), `message` carries the
     /// panic payload or injected-fault description.
     Internal {
         /// Containment site or failpoint name.
@@ -107,11 +107,11 @@ mod tests {
         assert!(e.to_string().contains("deadline"));
         assert!(std::error::Error::source(&e).is_none());
         let e = Error::Internal {
-            context: "pipeline",
-            message: "stage panicked".into(),
+            context: "serve.request",
+            message: "handler panicked".into(),
         };
-        assert!(e.to_string().contains("pipeline"));
-        assert!(e.to_string().contains("stage panicked"));
+        assert!(e.to_string().contains("serve.request"));
+        assert!(e.to_string().contains("handler panicked"));
         assert!(std::error::Error::source(&e).is_none());
     }
 }

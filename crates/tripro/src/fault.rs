@@ -1,5 +1,5 @@
 //! Deterministic fault injection: named failpoints threaded through the
-//! decode path, cache, pool, pipeline and serve socket I/O.
+//! decode path, cache, pool and serve socket I/O.
 //!
 //! ## Model
 //!
@@ -41,8 +41,6 @@ pub const DECODE_LOD: &str = "decode.lod";
 pub const CACHE_INSERT: &str = "cache.insert";
 /// A pool worker claiming a broadcast job.
 pub const POOL_DISPATCH: &str = "pool.dispatch";
-/// A pipeline stage pushing an item into a bounded inter-stage queue.
-pub const PIPELINE_PUSH: &str = "pipeline.chan.push";
 /// The serve loop reading a frame from a client socket.
 pub const SERVE_READ: &str = "serve.read";
 /// The serve loop writing a frame to a client socket.

@@ -50,7 +50,6 @@
 //! | [`compute`] | the geometry computer and its acceleration strategies (§5.1) |
 //! | [`gpu`] | the batched data-parallel executor standing in for GPU kernels (§5.1) |
 //! | [`pool`] | persistent worker pool shared by the executor, driver and resource manager |
-//! | [`pipeline`] | bounded inter-stage queues + streaming stage scheduler for pipelined joins |
 //! | [`partition`] | skeleton-based object partitioning (§5.1) |
 //! | [`resource`] | shared task queue drained by CPU pool + device (§5.2) |
 //! | [`profiler`] | LOD-list selection by pruned-fraction profiling (§4.4, §6.5) |
@@ -68,7 +67,6 @@ pub mod fault;
 pub mod gpu;
 pub mod obs;
 pub mod partition;
-pub mod pipeline;
 pub mod point;
 pub mod pool;
 pub mod profiler;
@@ -85,11 +83,10 @@ pub use error::{Error, Result};
 pub use fault::{FaultAction, Trigger};
 pub use gpu::BatchExecutor;
 pub use obs::{CostExemplar, Histogram, MetricsRegistry, SpanSummary, TraceConfig};
-pub use pipeline::{run_pipeline, Channel};
 pub use point::PointQuery;
 pub use pool::WorkerPool;
 pub use profiler::{choose_lods, measure_r, LodActivity, LodChoice, QueryKind};
-pub use query::{Engine, ExecMode, JoinPairs, NnPairs, Paradigm, QueryConfig};
+pub use query::{Engine, JoinPairs, NnPairs, Paradigm, QueryConfig};
 pub use resource::ResourceManager;
 pub use stats::{ExecStats, ServiceSnapshot, ServiceStats, StatsSnapshot};
 pub use store::{ObjectId, ObjectStore, StoreConfig, StoredObject};

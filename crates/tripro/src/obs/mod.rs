@@ -16,7 +16,7 @@
 //!   inert guard when a [`TraceConfig`] has not enabled tracing, so the
 //!   disabled cost is a branch, not a clock read. The overhead-guard
 //!   bench (`bench_obs`) holds the enabled-vs-disabled gap under 2% on
-//!   `bench_joins`.
+//!   whole joins.
 
 pub mod export;
 pub mod histogram;
@@ -256,87 +256,8 @@ pub fn request_outcome_counter(outcome: &str) -> Arc<AtomicU64> {
     )
 }
 
-/// Pipeline stage names in executor order, used as stable metric labels
-/// (mirrors [`crate::stats::STAGE_NAMES`]).
-const PIPE_STAGE_LABELS: [&str; 4] = ["generate", "decode", "build", "eval"];
-
-/// Inter-stage queue names: the stage pair each bounded queue connects.
-const PIPE_QUEUE_LABELS: [&str; 3] = ["gen_decode", "decode_build", "build_eval"];
-
-/// Per-item service latency of one pipelined-executor stage. Summed across
-/// stages and compared with wall clock, these are the occupancy evidence
-/// that decode and kernel evaluation overlap (ISSUE 7 acceptance).
-#[inline]
-#[must_use]
-pub fn pipeline_stage_histogram(stage: usize) -> &'static Histogram {
-    static HANDLES: OnceLock<[Arc<Histogram>; 4]> = OnceLock::new();
-    let handles = HANDLES.get_or_init(|| {
-        std::array::from_fn(|i| {
-            registry().histogram(
-                "tripro_pipeline_stage_seconds",
-                "Pipelined join executor: per-item stage service time.",
-                &[("stage", PIPE_STAGE_LABELS[i])],
-            )
-        })
-    });
-    &handles[stage.min(3)]
-}
-
-/// Depth of a bounded inter-stage queue, sampled at each push. The
-/// `_sum/_count` ratio is the mean standing depth; a p99 near the bound
-/// means the downstream stage is the bottleneck (backpressure engaged).
-#[inline]
-#[must_use]
-pub fn pipeline_queue_depth_histogram(queue: usize) -> &'static Histogram {
-    static HANDLES: OnceLock<[Arc<Histogram>; 3]> = OnceLock::new();
-    let handles = HANDLES.get_or_init(|| {
-        std::array::from_fn(|i| {
-            registry().histogram(
-                "tripro_pipeline_queue_depth",
-                "Pipelined join executor: queue depth sampled at push.",
-                &[("queue", PIPE_QUEUE_LABELS[i])],
-            )
-        })
-    });
-    &handles[queue.min(2)]
-}
-
-/// Number of distinct pipeline stages busy at once, sampled at each
-/// stage entry. Samples ≥ 2 are direct evidence of stage overlap (e.g.
-/// kernel evaluation concurrent with decode).
-#[inline]
-#[must_use]
-pub fn pipeline_concurrency_histogram() -> &'static Histogram {
-    static H: OnceLock<Arc<Histogram>> = OnceLock::new();
-    H.get_or_init(|| {
-        registry().histogram(
-            "tripro_pipeline_concurrent_stages",
-            "Distinct pipeline stages busy, sampled at stage entry.",
-            &[],
-        )
-    })
-}
-
-/// Backpressure stalls: a producer found queue `queue` full and ran the
-/// downstream stage inline instead of blocking.
-#[inline]
-#[must_use]
-pub fn pipeline_stall_counter(queue: usize) -> &'static AtomicU64 {
-    static HANDLES: OnceLock<[Arc<AtomicU64>; 3]> = OnceLock::new();
-    let handles = HANDLES.get_or_init(|| {
-        std::array::from_fn(|i| {
-            registry().counter(
-                "tripro_pipeline_stalls_total",
-                "Pipelined join executor: queue-full backpressure events.",
-                &[("queue", PIPE_QUEUE_LABELS[i])],
-            )
-        })
-    });
-    &handles[queue.min(2)]
-}
-
-/// Panics caught by a containment boundary (pool worker, pipeline stage,
-/// serve request/connection handler). Contained panics convert to
+/// Panics caught by a containment boundary (pool worker, serve
+/// request/connection handler). Contained panics convert to
 /// [`Error::Internal`](crate::Error::Internal) instead of unwinding the
 /// process; this counter is the audit trail that containment fired.
 #[must_use]

@@ -299,6 +299,19 @@ pub fn global() -> &'static WorkerPool {
     POOL.get_or_init(WorkerPool::new)
 }
 
+/// Hardware threads available to this process: the width the batch
+/// executor models the device with. Asked of the OS once, because `std`
+/// re-reads the cgroup files on every call (~20 µs) and the per-request
+/// query paths would otherwise pay that each time.
+pub fn device_width() -> usize {
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -8,6 +8,7 @@
 //!   guarantee lets results return early (Alg. 1–3), skipping most
 //!   high-LOD decoding and geometry.
 
+use crate::cache::LodData;
 use crate::compute::{Accel, Computer};
 use crate::deadline::Deadline;
 use crate::error::Result;
@@ -17,7 +18,7 @@ use crate::store::{ObjectId, ObjectStore};
 use crate::sync::lock;
 use std::collections::BinaryHeap;
 use std::time::Instant;
-use tripro_geom::DistRange;
+use tripro_geom::{Aabb, DistRange, Vec3};
 
 /// Total-order f64 wrapper so a [`BinaryHeap`] can hold distances.
 #[derive(PartialEq)]
@@ -38,8 +39,7 @@ impl Ord for OrdF64 {
 }
 
 /// Bounded max-heap over the `k` smallest values pushed so far: `kth()` is
-/// the k-th smallest in O(1), each `push` is O(log k). Replaces re-sorting
-/// the whole candidate list per evaluated pair in the kNN inner loop.
+/// the k-th smallest in O(1), each `push` is O(log k).
 struct KthSmallest {
     k: usize,
     heap: BinaryHeap<OrdF64>,
@@ -75,8 +75,6 @@ impl KthSmallest {
 
 /// Per-join context built **once** and shared by every target evaluation:
 /// the geometry computer (with its batch executor) and the LOD ladder.
-/// The seed rebuilt both per target object, which put allocation and
-/// `available_parallelism` queries on the per-candidate hot path.
 struct JoinCtx {
     computer: Computer,
     lods: Vec<usize>,
@@ -84,6 +82,13 @@ struct JoinCtx {
     deadline: Deadline,
     /// Paradigm flag for the pre-bound latency histograms (`true` = FPR).
     fpr: bool,
+}
+
+impl JoinCtx {
+    /// The ladder top, where every object is at full resolution.
+    fn top(&self) -> usize {
+        self.lods.last().copied().unwrap_or(0)
+    }
 }
 
 /// Query processing paradigm.
@@ -100,47 +105,6 @@ impl Paradigm {
         match self {
             Paradigm::FilterRefine => "FR",
             Paradigm::FilterProgressiveRefine => "FPR",
-        }
-    }
-}
-
-/// How the whole-join driver schedules its four execution stages
-/// (candidate generation, LOD decode, accelerator build, kernel
-/// evaluation) across workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Pick per query: the streaming pipeline when more than one worker
-    /// is configured, the phase-sequential driver otherwise (a single
-    /// worker gains nothing from stage overlap).
-    #[default]
-    Auto,
-    /// Phase-sequential: workers claim whole cuboids and run every stage
-    /// of a cuboid to completion before the next (the pre-pipeline
-    /// driver; kept as the equivalence and bench baseline).
-    Phased,
-    /// Streaming pipeline on bounded inter-stage queues: batch N's
-    /// kernel evaluation overlaps batch N+1's decode (see
-    /// [`crate::pipeline`]).
-    Pipelined,
-}
-
-impl ExecMode {
-    /// Stable lowercase label for metrics and bench output.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            ExecMode::Auto => "auto",
-            ExecMode::Phased => "phased",
-            ExecMode::Pipelined => "pipelined",
-        }
-    }
-
-    /// Resolve `Auto` against the configured worker count.
-    fn is_pipelined(self, threads: usize) -> bool {
-        match self {
-            ExecMode::Phased => false,
-            ExecMode::Pipelined => true,
-            ExecMode::Auto => threads >= 2,
         }
     }
 }
@@ -164,17 +128,12 @@ pub struct QueryConfig {
     /// distance lower bounds with DOP gaps. Off by default so the paper's
     /// comparisons stay faithful.
     pub conservative_prefilter: bool,
-    /// Cooperative deadline/cancellation token. The refinement loops poll
-    /// it between LOD rounds and bail with
+    /// Cooperative deadline/cancellation token. The refinement loop polls
+    /// it between LOD rounds and bails with
     /// [`Error::DeadlineExceeded`](crate::Error::DeadlineExceeded), so an
     /// expiring request stops paying for higher-LOD decode (the service
     /// path's P1/P2 early-out). Defaults to unbounded.
     pub deadline: Deadline,
-    /// Stage scheduling for whole-join drivers (see [`ExecMode`]).
-    pub exec: ExecMode,
-    /// Bound for each inter-stage queue of the pipelined executor, in
-    /// items; backpressure engages when a queue fills.
-    pub queue_cap: usize,
 }
 
 impl QueryConfig {
@@ -187,21 +146,7 @@ impl QueryConfig {
             cuboid_cell: None,
             conservative_prefilter: false,
             deadline: Deadline::none(),
-            exec: ExecMode::Auto,
-            queue_cap: crate::pipeline::DEFAULT_QUEUE_CAP,
         }
-    }
-
-    /// Select the whole-join stage scheduler (see [`ExecMode`]).
-    pub fn with_exec(mut self, exec: ExecMode) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// Bound each pipelined inter-stage queue at `cap` items (minimum 1).
-    pub fn with_queue_cap(mut self, cap: usize) -> Self {
-        self.queue_cap = cap.max(1);
-        self
     }
 
     pub fn with_conservative_prefilter(mut self) -> Self {
@@ -230,6 +175,200 @@ pub type JoinPairs = Vec<(ObjectId, Vec<ObjectId>)>;
 
 /// Result of a NN join: per target object, its nearest source object.
 pub type NnPairs = Vec<(ObjectId, Option<ObjectId>)>;
+
+/// Candidate pairs of one target: the source id and the `[min, max]`
+/// interval known to hold the pair's exact distance.
+type Pairs = Vec<(ObjectId, DistRange)>;
+
+/// What one probe decided about a candidate pair.
+enum Verdict {
+    /// The pair qualifies, and no higher LOD can take that back (P1/P2).
+    Accept,
+    /// The pair cannot qualify; only exact geometry can say so.
+    Reject,
+    /// Undecided at this LOD.
+    Keep,
+}
+
+/// One candidate pair decoded at the current LOD, ready to be probed.
+struct Probe<'a> {
+    computer: &'a Computer,
+    target: &'a LodData,
+    source: &'a LodData,
+    sk_t: &'a [Vec3],
+    sk_s: &'a [Vec3],
+    stats: &'a ExecStats,
+}
+
+impl Probe<'_> {
+    fn intersects(&self) -> bool {
+        self.computer
+            .intersects(self.target, self.source, self.sk_t, self.sk_s, self.stats)
+    }
+
+    /// Squared distance at this LOD, or `clamp` if that is smaller (the
+    /// kernels stop early beyond it).
+    fn min_dist2(&self, clamp: f64) -> f64 {
+        self.computer.min_dist2(
+            self.target,
+            self.source,
+            self.sk_t,
+            self.sk_s,
+            clamp,
+            self.stats,
+        )
+    }
+}
+
+/// The clamp for a distance cut-off: just above `cut²`, so a distance
+/// equal to the cut-off still comes back unclamped.
+fn clamp2(cut: f64) -> f64 {
+    cut * cut * (1.0 + 1e-9) + f64::MIN_POSITIVE
+}
+
+/// A join kind as [`Engine::refine`] sees it. Every candidate pair carries
+/// a distance interval; Alg. 1–3 differ only in how a pair is probed at
+/// one LOD and what the outcome decides.
+trait Rule {
+    /// Refinement stops once no more than this many pairs are undecided.
+    fn enough(&self) -> usize {
+        0
+    }
+
+    /// Bound test needing no geometry: the interval alone rules the pair
+    /// out.
+    fn out_of_reach(&self, _r: &DistRange) -> bool {
+        false
+    }
+
+    /// Probe the pair and decide it; `exact` says both objects are at
+    /// full resolution at this LOD.
+    fn probe(&mut self, p: &Probe<'_>, r: &mut DistRange, exact: bool) -> Verdict;
+
+    /// End of a round: fix the cut-off that `out_of_reach` re-checks the
+    /// survivors against.
+    fn settle(&mut self) {}
+}
+
+/// Alg. 1: accept on surface contact.
+struct Intersect;
+
+impl Rule for Intersect {
+    fn probe(&mut self, p: &Probe<'_>, _r: &mut DistRange, _exact: bool) -> Verdict {
+        // P1: intersection at a lower LOD implies intersection at every
+        // higher LOD. A miss decides nothing even on exact geometry —
+        // disjoint surfaces may still be nested solids, which the
+        // caller's containment fallback settles.
+        if p.intersects() {
+            Verdict::Accept
+        } else {
+            Verdict::Keep
+        }
+    }
+}
+
+/// Alg. 2: accept at distance `≤ d`.
+struct Within {
+    d: f64,
+}
+
+impl Rule for Within {
+    fn probe(&mut self, p: &Probe<'_>, _r: &mut DistRange, exact: bool) -> Verdict {
+        if p.min_dist2(clamp2(self.d)) <= self.d * self.d {
+            // P2: the LOD distance upper-bounds the true distance.
+            Verdict::Accept
+        } else if exact {
+            Verdict::Reject
+        } else {
+            Verdict::Keep
+        }
+    }
+}
+
+/// Alg. 3 and its kNN extension (§4.3): keep the pairs that can still be
+/// among the `k` nearest. `cut` is the k-th smallest MAXDIST (MINMAXDIST
+/// for `k = 1`); a pair whose MINDIST exceeds it is out.
+struct Nearest {
+    k: usize,
+    cut: f64,
+    /// MAXDISTs of the pairs kept so far in the current round.
+    round: KthSmallest,
+}
+
+impl Nearest {
+    fn new(k: usize, pairs: &[(ObjectId, DistRange)]) -> Self {
+        let mut all = KthSmallest::new(k);
+        for (_, r) in pairs {
+            all.push(r.max);
+        }
+        Self {
+            k,
+            cut: all.kth(),
+            round: KthSmallest::new(k),
+        }
+    }
+}
+
+impl Rule for Nearest {
+    fn enough(&self) -> usize {
+        self.k
+    }
+
+    fn out_of_reach(&self, r: &DistRange) -> bool {
+        r.min > self.cut
+    }
+
+    fn probe(&mut self, p: &Probe<'_>, r: &mut DistRange, exact: bool) -> Verdict {
+        let clamp = clamp2(self.cut);
+        let dist2 = p.min_dist2(clamp);
+        if dist2 < clamp {
+            // LOD distance obtained: tighten MAXDIST (step 9); on exact
+            // geometry the range collapses (step 11).
+            r.max = dist2.sqrt();
+            if exact {
+                r.min = r.max;
+            }
+        } else if exact {
+            // Beyond the cut-off on exact geometry: cannot beat the
+            // current best (ties break toward the earlier winner).
+            return Verdict::Reject;
+        }
+        // Otherwise the LOD distance exceeds the bound but the true one
+        // may not: the pair keeps its range. Until k pairs are kept the
+        // cut-off cannot tighten (`kth()` is ∞ until then).
+        self.round.push(r.max);
+        self.cut = self.cut.min(self.round.kth().max(0.0));
+        Verdict::Keep
+    }
+
+    fn settle(&mut self) {
+        self.cut = std::mem::replace(&mut self.round, KthSmallest::new(self.k)).kth();
+    }
+}
+
+/// Run a filter prologue under its span and time bucket.
+fn filter<T>(stats: &ExecStats, f: impl FnOnce() -> T) -> T {
+    let _span = obs::span(SpanKind::Filter);
+    let t0 = Instant::now();
+    let out = f();
+    stats.add_filter(t0.elapsed());
+    out
+}
+
+/// Is `inner` inside the solid `outer`? Asked only of pairs whose surfaces
+/// are disjoint, where one vertex of the coarsest LOD decides it.
+fn vertex_inside(
+    (inner, i): (&ObjectStore, ObjectId),
+    (outer, o): (&ObjectStore, ObjectId),
+    stats: &ExecStats,
+) -> Result<bool> {
+    let solid = outer.get(o, outer.max_lod(o), stats)?;
+    let v = inner.get(i, 0, stats)?.triangles[0].a;
+    let t0 = Instant::now();
+    let inside = tripro_geom::point_in_mesh(v, &solid.triangles);
+    stats.add_compute(t0.elapsed());
+    Ok(inside)
+}
 
 /// A spatial-join engine over a target dataset `D₁` and source dataset `D₂`.
 pub struct Engine<'a> {
@@ -268,24 +407,97 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn computer(&self, cfg: &QueryConfig) -> Computer {
-        // The computer's executor parallelism is independent of the join
-        // driver's thread count: it models the device.
-        Computer::new(
-            cfg.accel,
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-        )
-    }
-
     fn join_ctx(&self, cfg: &QueryConfig) -> JoinCtx {
         JoinCtx {
-            computer: self.computer(cfg),
+            // The computer's executor parallelism is independent of the
+            // join driver's thread count: it models the device.
+            computer: Computer::new(cfg.accel, crate::pool::device_width()),
             lods: self.lods(cfg),
             deadline: cfg.deadline.clone(),
             fpr: matches!(cfg.paradigm, Paradigm::FilterProgressiveRefine),
         }
+    }
+
+    /// MINDIST/MAXDIST from `tm` to source `c` over its partition
+    /// sub-object boxes (§5.1) — the minimum over groups is valid for both
+    /// bounds. `None` when the object has no groups.
+    fn group_range(&self, c: ObjectId, tm: &Aabb) -> Option<DistRange> {
+        let boxes = &self.source.object(c).group_boxes;
+        let min_over = |dist: fn(&Aabb, &Aabb) -> f64| {
+            boxes
+                .iter()
+                .map(|b| dist(b, tm))
+                .fold(f64::INFINITY, f64::min)
+        };
+        (!boxes.is_empty()).then(|| DistRange {
+            min: min_over(Aabb::min_dist),
+            max: min_over(Aabb::max_dist),
+        })
+    }
+
+    /// Progressive refinement (the loop Alg. 1–3 share): climb the LOD
+    /// ladder, probe every undecided pair at each rung and let `rule`
+    /// decide it. Returns the accepted source ids and the pairs still
+    /// undecided when the ladder, or the rule's stop condition, ends.
+    fn refine(
+        &self,
+        ctx: &JoinCtx,
+        t: ObjectId,
+        mut pairs: Pairs,
+        rule: &mut impl Rule,
+        stats: &ExecStats,
+    ) -> Result<(Vec<ObjectId>, Pairs)> {
+        let t_max = self.target.max_lod(t);
+        let sk_t = self.target.skeleton(t);
+        let mut accepted = Vec::new();
+        for &lod in &ctx.lods {
+            if pairs.len() <= rule.enough() {
+                break;
+            }
+            ctx.deadline.check()?;
+            let _round = obs::span_at(SpanKind::RefineRound, obs::trace::NO_OBJECT, lod as u32);
+            stats.record_lod_round();
+            let geom_t = self.target.get(t, lod, stats)?;
+            let mut next = Vec::with_capacity(pairs.len());
+            for (c, mut r) in pairs {
+                // The cut-off keeps tightening inside a round: re-check
+                // before paying for the decode (Alg. 3 step 5).
+                if rule.out_of_reach(&r) {
+                    stats.record_pair_pruned(lod);
+                    continue;
+                }
+                let exact = lod >= t_max && lod >= self.source.max_lod(c);
+                let geom_c = self.source.get(c, lod, stats)?;
+                stats.record_pair_evaluated(lod);
+                let probe = Probe {
+                    computer: &ctx.computer,
+                    target: &geom_t,
+                    source: &geom_c,
+                    sk_t,
+                    sk_s: self.source.skeleton(c),
+                    stats,
+                };
+                match rule.probe(&probe, &mut r, exact) {
+                    Verdict::Accept => {
+                        accepted.push(c);
+                        stats.record_pair_pruned(lod);
+                    }
+                    Verdict::Reject => stats.record_pair_pruned(lod),
+                    Verdict::Keep => next.push((c, r)),
+                }
+            }
+            // Post-pass prune with the settled cut-off (Alg. 3 steps 14–16).
+            rule.settle();
+            next.retain(|(_, r)| {
+                let keep = !rule.out_of_reach(r);
+                if !keep {
+                    stats.record_pair_pruned(lod);
+                }
+                keep
+            });
+            pairs = next;
+        }
+        Ok((accepted, pairs))
     }
 
     // -----------------------------------------------------------------
@@ -313,91 +525,42 @@ impl<'a> Engine<'a> {
         // An already-expired request does no work at all, even when the
         // filter alone could answer it — uniform service semantics.
         ctx.deadline.check()?;
-        let computer = &ctx.computer;
-        let lods = &ctx.lods;
+        let tm = self.target.mbb(t);
 
         // Filter: MBB intersection against the global index. With the
         // partition strategies the finer sub-object boxes filter instead.
-        let filter_span = obs::span(SpanKind::Filter);
-        let t0 = Instant::now();
-        let mut candidates = match cfg.accel {
-            Accel::Partition | Accel::PartitionGpu => {
-                let mut c = self
-                    .source
-                    .partition_rtree()
-                    .query_intersects(self.target.mbb(t));
-                c.sort_unstable();
-                c.dedup();
-                c
-            }
-            _ => self.source.rtree().query_intersects(self.target.mbb(t)),
-        };
-        if cfg.conservative_prefilter {
-            let kt = &self.target.object(t).kdop;
-            candidates.retain(|&c| kt.intersects(&self.source.object(c).kdop));
-        }
-        stats.add_filter(t0.elapsed());
-        drop(filter_span);
-
-        let mut results = Vec::new();
-        let t_max = self.target.max_lod(t);
-        for &lod in lods {
-            if candidates.is_empty() {
-                break;
-            }
-            ctx.deadline.check()?;
-            let _round = obs::span_at(SpanKind::RefineRound, obs::trace::NO_OBJECT, lod as u32);
-            stats.record_lod_round();
-            let geom_t = self.target.get(t, lod, stats)?;
-            let sk_t = self.target.skeleton(t);
-            let mut remaining = Vec::with_capacity(candidates.len());
-            for c in candidates {
-                let geom_c = self.source.get(c, lod, stats)?;
-                stats.record_pair_evaluated(lod);
-                let hit =
-                    computer.intersects(&geom_t, &geom_c, sk_t, self.source.skeleton(c), stats);
-                if hit {
-                    // Early accept (P1: intersection at a lower LOD implies
-                    // intersection at every higher LOD).
-                    results.push(c);
-                    stats.record_pair_pruned(lod);
-                } else {
-                    remaining.push(c);
+        let pairs = filter(stats, || {
+            let mut candidates = match cfg.accel {
+                Accel::Partition | Accel::PartitionGpu => {
+                    let mut c = self.source.partition_rtree().query_intersects(tm);
+                    c.sort_unstable();
+                    c.dedup();
+                    c
                 }
+                _ => self.source.rtree().query_intersects(tm),
+            };
+            if cfg.conservative_prefilter {
+                let kt = &self.target.object(t).kdop;
+                candidates.retain(|&c| kt.intersects(&self.source.object(c).kdop));
             }
-            candidates = remaining;
-        }
+            candidates
+                .into_iter()
+                .map(|c| (c, tm.dist_range(self.source.mbb(c))))
+                .collect()
+        });
+        let (mut results, undecided) = self.refine(ctx, t, pairs, &mut Intersect, stats)?;
 
         // Containment fallback at the highest LOD (Alg. 1 steps 8–12):
         // surfaces may be disjoint while one solid contains the other.
         ctx.deadline.check()?;
-        let top = lods.last().copied().unwrap_or(0);
-        for c in candidates {
-            stats.record_pair_pruned(top);
-            let c_in_t = self.target.mbb(t).contains_box(self.source.mbb(c));
-            let t_in_c = self.source.mbb(c).contains_box(self.target.mbb(t));
-            if c_in_t {
-                let geom_t = self.target.get(t, t_max, stats)?;
-                let geom_c = self.source.get(c, 0, stats)?;
-                let v = geom_c.triangles[0].a;
-                let t1 = Instant::now();
-                let inside = tripro_geom::point_in_mesh(v, &geom_t.triangles);
-                stats.add_compute(t1.elapsed());
-                if inside {
-                    results.push(c);
-                    continue;
-                }
-            }
-            if t_in_c {
-                let geom_c = self.source.get(c, self.source.max_lod(c), stats)?;
-                let geom_t = self.target.get(t, 0, stats)?;
-                let v = geom_t.triangles[0].a;
-                let t1 = Instant::now();
-                let inside = tripro_geom::point_in_mesh(v, &geom_c.triangles);
-                stats.add_compute(t1.elapsed());
-                if inside {
-                    results.push(c);
-                }
+        let (target, source) = (self.target, self.source);
+        for (c, _) in undecided {
+            stats.record_pair_pruned(ctx.top());
+            let cm = source.mbb(c);
+            if (tm.contains_box(cm) && vertex_inside((source, c), (target, t), stats)?)
+                || (cm.contains_box(tm) && vertex_inside((target, t), (source, c), stats)?)
+            {
+                results.push(c);
             }
         }
         results.sort_unstable();
@@ -406,15 +569,9 @@ impl<'a> Engine<'a> {
 
     /// Intersection spatial join `D₁ ⋈ D₂` over all target objects.
     pub fn intersection_join(&self, cfg: &QueryConfig) -> Result<(JoinPairs, ExecStats)> {
-        let stats = ExecStats::new();
-        let ctx = self.join_ctx(cfg);
-        let out = self.drive(
-            cfg,
-            &stats,
-            |t| self.intersect_hints(t, cfg),
-            |t, stats| self.intersect_one_in(&ctx, t, cfg, stats),
-        )?;
-        Ok((out, stats))
+        self.drive(cfg, |ctx, t, stats| {
+            self.intersect_one_in(ctx, t, cfg, stats)
+        })
     }
 
     // -----------------------------------------------------------------
@@ -442,107 +599,51 @@ impl<'a> Engine<'a> {
     ) -> Result<Vec<ObjectId>> {
         let _lat = obs::time(obs::query_latency_histogram(QueryOp::Within, ctx.fpr));
         ctx.deadline.check()?;
-        let computer = &ctx.computer;
-        let lods = &ctx.lods;
+        let tm = self.target.mbb(t);
 
-        let filter_span = obs::span(SpanKind::Filter);
-        let t0 = Instant::now();
-        let filtered = self.source.rtree().within(self.target.mbb(t), d);
-
-        // Objects proven within by MBB bounds alone need no geometry.
-        let mut results = filtered.definite;
-        let mut candidates = filtered.candidates;
-        if cfg.conservative_prefilter {
-            // §2.2 conservative rejection: a 13-DOP gap exceeding `d`
-            // proves the objects are farther than `d` apart.
-            let kt = &self.target.object(t).kdop;
-            candidates.retain(|&c| kt.min_dist(&self.source.object(c).kdop) <= d);
-        }
-        // The partition strategies re-examine candidates with the finer
-        // sub-object boxes (§5.1): the min-over-groups MAXDIST can prove
-        // "within" and the min-over-groups MINDIST can disprove it, both
-        // without touching geometry.
-        if matches!(cfg.accel, Accel::Partition | Accel::PartitionGpu) {
-            let tm = self.target.mbb(t);
-            candidates.retain(|&c| {
-                let boxes = &self.source.object(c).group_boxes;
-                if boxes.is_empty() {
-                    return true;
-                }
-                let min = boxes
-                    .iter()
-                    .map(|b| b.min_dist(tm))
-                    .fold(f64::INFINITY, f64::min);
-                if min > d {
-                    return false; // certainly too far
-                }
-                let max = boxes
-                    .iter()
-                    .map(|b| b.max_dist(tm))
-                    .fold(f64::INFINITY, f64::min);
-                if max <= d {
-                    results.push(c); // certainly within
-                    return false;
-                }
-                true
-            });
-        }
-        stats.add_filter(t0.elapsed());
-        drop(filter_span);
-        let d2 = d * d;
-        let seed = d2 * (1.0 + 1e-9) + f64::MIN_POSITIVE;
-
-        let t_max = self.target.max_lod(t);
-        for &lod in lods {
-            if candidates.is_empty() {
-                break;
+        let (mut results, pairs) = filter(stats, || {
+            let filtered = self.source.rtree().within(tm, d);
+            // Objects proven within by MBB bounds alone need no geometry.
+            let mut results = filtered.definite;
+            let mut candidates = filtered.candidates;
+            if cfg.conservative_prefilter {
+                // §2.2 conservative rejection: a 13-DOP gap exceeding `d`
+                // proves the objects are farther than `d` apart.
+                let kt = &self.target.object(t).kdop;
+                candidates.retain(|&c| kt.min_dist(&self.source.object(c).kdop) <= d);
             }
-            ctx.deadline.check()?;
-            let _round = obs::span_at(SpanKind::RefineRound, obs::trace::NO_OBJECT, lod as u32);
-            stats.record_lod_round();
-            let geom_t = self.target.get(t, lod, stats)?;
-            let sk_t = self.target.skeleton(t);
-            let mut remaining = Vec::with_capacity(candidates.len());
-            for c in candidates {
-                let exact = lod >= t_max && lod >= self.source.max_lod(c);
-                let geom_c = self.source.get(c, lod, stats)?;
-                stats.record_pair_evaluated(lod);
-                let dist2 = computer.min_dist2(
-                    &geom_t,
-                    &geom_c,
-                    sk_t,
-                    self.source.skeleton(c),
-                    seed,
-                    stats,
-                );
-                if dist2 <= d2 {
-                    // P2: the LOD distance upper-bounds the true distance.
-                    results.push(c);
-                    stats.record_pair_pruned(lod);
-                } else if exact {
-                    // The exact distance exceeds d: reject.
-                    stats.record_pair_pruned(lod);
-                } else {
-                    remaining.push(c);
-                }
+            // The partition strategies re-examine candidates with the finer
+            // sub-object boxes (§5.1): the min-over-groups MAXDIST can prove
+            // "within" and the min-over-groups MINDIST can disprove it, both
+            // without touching geometry.
+            if matches!(cfg.accel, Accel::Partition | Accel::PartitionGpu) {
+                candidates.retain(|&c| match self.group_range(c, tm) {
+                    Some(r) if r.min > d => false, // certainly too far
+                    Some(r) if r.max <= d => {
+                        results.push(c); // certainly within
+                        false
+                    }
+                    _ => true,
+                });
             }
-            candidates = remaining;
-        }
+            let pairs = candidates
+                .into_iter()
+                .map(|c| (c, tm.dist_range(self.source.mbb(c))))
+                .collect();
+            (results, pairs)
+        });
+        // Every pair is decided by the ladder top, where geometry is exact.
+        let (accepted, _) = self.refine(ctx, t, pairs, &mut Within { d }, stats)?;
+        results.extend(accepted);
         results.sort_unstable();
         Ok(results)
     }
 
     /// Within spatial join: all source objects within `d` of each target.
     pub fn within_join(&self, d: f64, cfg: &QueryConfig) -> Result<(JoinPairs, ExecStats)> {
-        let stats = ExecStats::new();
-        let ctx = self.join_ctx(cfg);
-        let out = self.drive(
-            cfg,
-            &stats,
-            |t| self.within_hints(t, d),
-            |t, stats| self.within_one_in(&ctx, t, d, cfg, stats),
-        )?;
-        Ok((out, stats))
+        self.drive(cfg, |ctx, t, stats| {
+            self.within_one_in(ctx, t, d, cfg, stats)
+        })
     }
 
     // -----------------------------------------------------------------
@@ -568,112 +669,30 @@ impl<'a> Engine<'a> {
     ) -> Result<Option<ObjectId>> {
         let _lat = obs::time(obs::query_latency_histogram(QueryOp::Nn, ctx.fpr));
         ctx.deadline.check()?;
-        let computer = &ctx.computer;
-        let lods = &ctx.lods;
+        let tm = self.target.mbb(t);
 
-        let filter_span = obs::span(SpanKind::Filter);
-        let t0 = Instant::now();
-        let mut candidates: Vec<(ObjectId, DistRange)> =
-            self.source.rtree().nn_candidates(self.target.mbb(t));
-        // Partition strategies tighten the initial ranges with the finer
-        // sub-object boxes (min over groups is valid for both bounds).
-        if matches!(cfg.accel, Accel::Partition | Accel::PartitionGpu) {
-            for (c, r) in &mut candidates {
-                let boxes = &self.source.object(*c).group_boxes;
-                if !boxes.is_empty() {
-                    let tm = self.target.mbb(t);
-                    r.min = boxes
-                        .iter()
-                        .map(|b| b.min_dist(tm))
-                        .fold(f64::INFINITY, f64::min);
-                    r.max = boxes
-                        .iter()
-                        .map(|b| b.max_dist(tm))
-                        .fold(f64::INFINITY, f64::min);
-                }
-            }
-        }
-        if cfg.conservative_prefilter {
-            let kt = &self.target.object(t).kdop;
-            for (c, r) in &mut candidates {
-                r.min = r.min.max(kt.min_dist(&self.source.object(*c).kdop));
-            }
-        }
-        stats.add_filter(t0.elapsed());
-        drop(filter_span);
-        if candidates.is_empty() {
-            return Ok(None);
-        }
-
-        let mut minmax = candidates
-            .iter()
-            .map(|(_, r)| r.max)
-            .fold(f64::INFINITY, f64::min);
-        let t_max = self.target.max_lod(t);
-
-        for &lod in lods {
-            if candidates.len() <= 1 {
-                break;
-            }
-            ctx.deadline.check()?;
-            let _round = obs::span_at(SpanKind::RefineRound, obs::trace::NO_OBJECT, lod as u32);
-            stats.record_lod_round();
-            let geom_t = self.target.get(t, lod, stats)?;
-            let sk_t = self.target.skeleton(t);
-            let mut next = Vec::with_capacity(candidates.len());
-            for (c, mut r) in candidates {
-                // Alg. 3 step 5: MINMAXDIST keeps decreasing, re-check.
-                if r.min > minmax {
-                    stats.record_pair_pruned(lod);
-                    continue;
-                }
-                let exact = lod >= t_max && lod >= self.source.max_lod(c);
-                let geom_c = self.source.get(c, lod, stats)?;
-                stats.record_pair_evaluated(lod);
-                let seed = minmax * minmax * (1.0 + 1e-9) + f64::MIN_POSITIVE;
-                let dist2 = computer.min_dist2(
-                    &geom_t,
-                    &geom_c,
-                    sk_t,
-                    self.source.skeleton(c),
-                    seed,
-                    stats,
-                );
-                if dist2 < seed {
-                    // Exact LOD distance obtained: tighten MAXDIST (step 9);
-                    // at the highest LOD the range collapses (step 11).
-                    let dist = dist2.sqrt();
-                    r.max = dist;
-                    if exact {
-                        r.min = dist;
+        let pairs = filter(stats, || {
+            let mut pairs = self.source.rtree().nn_candidates(tm);
+            // Partition strategies tighten the initial ranges with the
+            // finer sub-object boxes.
+            if matches!(cfg.accel, Accel::Partition | Accel::PartitionGpu) {
+                for (c, r) in &mut pairs {
+                    if let Some(g) = self.group_range(*c, tm) {
+                        *r = g;
                     }
-                    minmax = minmax.min(r.max);
-                    next.push((c, r));
-                } else if exact {
-                    // Cut off above MINMAXDIST at the exact LOD: this
-                    // candidate cannot beat the current best (ties break
-                    // toward the earlier winner).
-                    stats.record_pair_pruned(lod);
-                } else {
-                    // LOD distance exceeds the bound but the true distance
-                    // may still be smaller; keep with MBB-derived range.
-                    next.push((c, r));
                 }
             }
-            // Post-pass prune with the settled MINMAXDIST (steps 14–16).
-            candidates = next
-                .into_iter()
-                .filter(|(_, r)| {
-                    let keep = r.min <= minmax;
-                    if !keep {
-                        stats.record_pair_pruned(lod);
-                    }
-                    keep
-                })
-                .collect();
-        }
-
-        Ok(candidates
+            if cfg.conservative_prefilter {
+                let kt = &self.target.object(t).kdop;
+                for (c, r) in &mut pairs {
+                    r.min = r.min.max(kt.min_dist(&self.source.object(*c).kdop));
+                }
+            }
+            pairs
+        });
+        let mut rule = Nearest::new(1, &pairs);
+        let (_, survivors) = self.refine(ctx, t, pairs, &mut rule, stats)?;
+        Ok(survivors
             .into_iter()
             .min_by(|a, b| a.1.max.total_cmp(&b.1.max).then(a.0.cmp(&b.0)))
             .map(|(c, _)| c))
@@ -682,15 +701,7 @@ impl<'a> Engine<'a> {
     /// Nearest-neighbour join (ANN query): the nearest source object for
     /// every target object.
     pub fn nn_join(&self, cfg: &QueryConfig) -> Result<(NnPairs, ExecStats)> {
-        let stats = ExecStats::new();
-        let ctx = self.join_ctx(cfg);
-        let out = self.drive(
-            cfg,
-            &stats,
-            |t| self.nn_hints(t),
-            |t, stats| self.nn_one_in(&ctx, t, cfg, stats),
-        )?;
-        Ok((out, stats))
+        self.drive(cfg, |ctx, t, stats| self.nn_one_in(ctx, t, cfg, stats))
     }
 
     /// The `k` nearest source objects to target `t`, closest first
@@ -718,115 +729,28 @@ impl<'a> Engine<'a> {
         }
         let _lat = obs::time(obs::query_latency_histogram(QueryOp::Knn, ctx.fpr));
         ctx.deadline.check()?;
-        let computer = &ctx.computer;
-        let lods = &ctx.lods;
 
-        let filter_span = obs::span(SpanKind::Filter);
-        let t0 = Instant::now();
-        let mut candidates: Vec<(ObjectId, DistRange)> =
-            self.source.rtree().knn_candidates(self.target.mbb(t), k);
-        stats.add_filter(t0.elapsed());
-        drop(filter_span);
-        if candidates.is_empty() {
+        let pairs = filter(stats, || {
+            self.source.rtree().knn_candidates(self.target.mbb(t), k)
+        });
+        if pairs.is_empty() {
             return Ok(Vec::new());
         }
-
-        let t_max = self.target.max_lod(t);
-        // The pruning threshold is the k-th smallest MAXDIST, maintained
-        // with a bounded max-heap over the surviving candidates instead of
-        // re-sorting the whole list for every evaluated pair (the seed's
-        // inner loop was O(n·k log n) per LOD; this is O(n log k)).
-        let mut threshold = {
-            let mut kth = KthSmallest::new(k);
-            for (_, r) in &candidates {
-                kth.push(r.max);
-            }
-            kth.kth()
-        };
-
-        for &lod in lods {
-            if candidates.len() <= k {
-                break;
-            }
-            ctx.deadline.check()?;
-            let _round = obs::span_at(SpanKind::RefineRound, obs::trace::NO_OBJECT, lod as u32);
-            stats.record_lod_round();
-            let geom_t = self.target.get(t, lod, stats)?;
-            let sk_t = self.target.skeleton(t);
-            let mut next = Vec::with_capacity(candidates.len());
-            let mut kth = KthSmallest::new(k);
-            for (c, mut r) in candidates {
-                if r.min > threshold {
-                    stats.record_pair_pruned(lod);
-                    continue;
-                }
-                let exact = lod >= t_max && lod >= self.source.max_lod(c);
-                let geom_c = self.source.get(c, lod, stats)?;
-                stats.record_pair_evaluated(lod);
-                let seed = threshold * threshold * (1.0 + 1e-9) + f64::MIN_POSITIVE;
-                let dist2 = computer.min_dist2(
-                    &geom_t,
-                    &geom_c,
-                    sk_t,
-                    self.source.skeleton(c),
-                    seed,
-                    stats,
-                );
-                if dist2 < seed {
-                    let dist = dist2.sqrt();
-                    r.max = dist;
-                    if exact {
-                        r.min = dist;
-                    }
-                    kth.push(r.max);
-                    next.push((c, r));
-                } else if exact {
-                    stats.record_pair_pruned(lod);
-                } else {
-                    kth.push(r.max);
-                    next.push((c, r));
-                }
-                // Until k candidates are settled the threshold cannot
-                // tighten below the k-th best seen (kth() is ∞ until then).
-                threshold = threshold.min(kth.kth().max(0.0));
-            }
-            threshold = kth.kth();
-            candidates = next
-                .into_iter()
-                .filter(|(_, r)| {
-                    let keep = r.min <= threshold;
-                    if !keep {
-                        stats.record_pair_pruned(lod);
-                    }
-                    keep
-                })
-                .collect();
-        }
+        let mut rule = Nearest::new(k, &pairs);
+        let (_, survivors) = self.refine(ctx, t, pairs, &mut rule, stats)?;
 
         // Exact distances for whatever remains (bounded by the filter), then
         // take the k best.
         ctx.deadline.check()?;
-        let top = lods.last().copied().unwrap_or(0);
-        let geom_t = self.target.get(t, top, stats)?;
-        let sk_t = self.target.skeleton(t);
-        let mut scored: Vec<(f64, ObjectId)> = Vec::with_capacity(candidates.len());
-        for (c, r) in candidates {
+        let geom_t = self.target.get(t, ctx.top(), stats)?;
+        let mut scored: Vec<(f64, ObjectId)> = Vec::with_capacity(survivors.len());
+        for (c, r) in survivors {
             // A collapsed range is an exact distance already in hand; compare
             // bitwise (eps would falsely collapse nearly-settled ranges).
             if tripro_geom::is_exactly(r.min, r.max) {
                 scored.push((r.max, c));
             } else {
-                let geom_c = self.source.get(c, top, stats)?;
-                stats.record_pair_evaluated(top);
-                let d2 = computer.min_dist2(
-                    &geom_t,
-                    &geom_c,
-                    sk_t,
-                    self.source.skeleton(c),
-                    f64::INFINITY,
-                    stats,
-                );
-                scored.push((d2.sqrt(), c));
+                scored.push((self.top_distance(ctx, &geom_t, t, c, stats)?, c));
             }
         }
         scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -837,36 +761,23 @@ impl<'a> Engine<'a> {
     /// k-nearest-neighbour join: the `k` nearest source objects for every
     /// target object, closest first.
     pub fn knn_join(&self, k: usize, cfg: &QueryConfig) -> Result<(JoinPairs, ExecStats)> {
-        let stats = ExecStats::new();
-        let ctx = self.join_ctx(cfg);
-        let out = self.drive(
-            cfg,
-            &stats,
-            |t| self.nn_hints(t),
-            |t, stats| self.knn_one_in(&ctx, t, k, stats),
-        )?;
-        Ok((out, stats))
+        self.drive(cfg, |ctx, t, stats| self.knn_one_in(ctx, t, k, stats))
     }
 
-    /// Exact distance between target `t` and source `c`, scored exactly
-    /// the way `knn_one`'s final pass scores survivors: `min_dist2` at
-    /// the ladder top with an infinite seed. A shard coordinator uses
-    /// this to merge per-shard kNN winners on exact distances, so the
-    /// merged ranking is bit-identical to a single-engine run.
-    pub fn pair_distance(
+    /// Exact distance from target `t`, already decoded at the ladder top as
+    /// `geom_t`, to source `c`: `min_dist2` with nothing to clamp against.
+    fn top_distance(
         &self,
+        ctx: &JoinCtx,
+        geom_t: &LodData,
         t: ObjectId,
         c: ObjectId,
-        cfg: &QueryConfig,
         stats: &ExecStats,
     ) -> Result<f64> {
-        let ctx = self.join_ctx(cfg);
-        let top = ctx.lods.last().copied().unwrap_or(0);
-        let geom_t = self.target.get(t, top, stats)?;
-        let geom_c = self.source.get(c, top, stats)?;
-        stats.record_pair_evaluated(top);
+        let geom_c = self.source.get(c, ctx.top(), stats)?;
+        stats.record_pair_evaluated(ctx.top());
         let d2 = ctx.computer.min_dist2(
-            &geom_t,
+            geom_t,
             &geom_c,
             self.target.skeleton(t),
             self.source.skeleton(c),
@@ -876,225 +787,76 @@ impl<'a> Engine<'a> {
         Ok(d2.sqrt())
     }
 
+    /// Exact distance between target `t` and source `c`, scored exactly
+    /// the way `knn_one`'s final pass scores survivors. A shard coordinator
+    /// uses this to merge per-shard kNN winners on exact distances, so the
+    /// merged ranking is bit-identical to a single-engine run.
+    pub fn pair_distance(
+        &self,
+        t: ObjectId,
+        c: ObjectId,
+        cfg: &QueryConfig,
+        stats: &ExecStats,
+    ) -> Result<f64> {
+        let ctx = self.join_ctx(cfg);
+        let geom_t = self.target.get(t, ctx.top(), stats)?;
+        self.top_distance(&ctx, &geom_t, t, c, stats)
+    }
+
     // -----------------------------------------------------------------
     // Parallel join driver: batch target objects by cuboid (§5.3) and let
-    // workers claim cuboids, preserving decode-cache locality. Under
-    // `ExecMode::Pipelined` the cuboid batches instead stream through the
-    // four-stage pipeline in `crate::pipeline`.
+    // workers claim cuboids, preserving decode-cache locality.
     // -----------------------------------------------------------------
-
-    /// Cap on prefetch hints per target: bounds the decode stage's
-    /// speculative work for pathologically wide candidate sets (the eval
-    /// stage decodes anything the hint missed, so this only shifts work
-    /// between stages, never changes results).
-    const HINT_CAP: usize = 64;
-
-    /// Candidate source ids the filter will probe for target `t`, reused
-    /// by the pipelined decode stage to warm the cache ahead of
-    /// evaluation. Best effort: over- or under-approximation is safe.
-    fn intersect_hints(&self, t: ObjectId, cfg: &QueryConfig) -> Vec<ObjectId> {
-        let mut c = match cfg.accel {
-            Accel::Partition | Accel::PartitionGpu => {
-                let mut c = self
-                    .source
-                    .partition_rtree()
-                    .query_intersects(self.target.mbb(t));
-                c.sort_unstable();
-                c.dedup();
-                c
-            }
-            _ => self.source.rtree().query_intersects(self.target.mbb(t)),
-        };
-        c.truncate(Self::HINT_CAP);
-        c
-    }
-
-    /// Prefetch hints for a within-join: the filter's indefinite
-    /// candidates (definite hits never touch geometry).
-    fn within_hints(&self, t: ObjectId, d: f64) -> Vec<ObjectId> {
-        let mut c = self.source.rtree().within(self.target.mbb(t), d).candidates;
-        c.truncate(Self::HINT_CAP);
-        c
-    }
-
-    /// Prefetch hints for the bounds-first join kinds (NN/kNN): none.
-    /// Their evaluation resolves most pairs from MBB MINDIST/MAXDIST
-    /// separation without ever touching geometry, so speculative lod-0
-    /// decode of the candidate ring is a net loss (measured two orders of
-    /// magnitude on well-separated stores, where the phased driver decodes
-    /// nothing at all). Decode happens lazily inside eval exactly when the
-    /// bounds fail to separate.
-    fn nn_hints(&self, _t: ObjectId) -> Vec<ObjectId> {
-        Vec::new()
-    }
 
     fn drive<R: Send>(
         &self,
         cfg: &QueryConfig,
-        stats: &ExecStats,
-        hints: impl Fn(ObjectId) -> Vec<ObjectId> + Sync,
-        per_object: impl Fn(ObjectId, &ExecStats) -> Result<R> + Sync,
-    ) -> Result<Vec<(ObjectId, R)>> {
+        per_object: impl Fn(&JoinCtx, ObjectId, &ExecStats) -> Result<R> + Sync,
+    ) -> Result<(Vec<(ObjectId, R)>, ExecStats)> {
+        let stats = ExecStats::new();
+        let ctx = self.join_ctx(cfg);
         let cell = cfg.cuboid_cell.unwrap_or_else(|| {
             let e = self.target.rtree().bounds().extent();
             (e.max_component() / 4.0).max(1e-9)
         });
         let cuboids = self.target.cuboids(cell);
-        if cfg.exec.is_pipelined(cfg.threads) {
-            return self.drive_pipelined(cfg, &cuboids, stats, &hints, &per_object);
-        }
         let next = std::sync::atomic::AtomicUsize::new(0);
         // LOCK-RANK(80): per-drive result accumulator — a leaf below the
-        // cache locks (50–70); workers take it briefly after finishing a
-        // cuboid, never while holding any other lock.
-        let results: std::sync::Mutex<Vec<(ObjectId, Result<R>)>> =
-            std::sync::Mutex::new(Vec::with_capacity(self.target.len()));
+        // cache locks (50–70); workers take it briefly around a cuboid,
+        // never while holding any other lock. It turns `Err` with the
+        // first target that fails, which is also the join's answer.
+        let results: std::sync::Mutex<Result<Vec<(ObjectId, R)>>> =
+            std::sync::Mutex::new(Ok(Vec::with_capacity(self.target.len())));
         let workers = cfg.threads.max(1).min(cuboids.len().max(1));
         // Workers come from the persistent process-wide pool (the caller is
         // one of them); each claims whole cuboids so decode-cache locality
         // is preserved (§5.3).
         crate::pool::global().run_with(workers - 1, |_| loop {
+            // A failed join stops claiming: whatever the remaining cuboids
+            // produced would be thrown away.
+            if lock(&results).is_err() {
+                return;
+            }
             let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             if i >= cuboids.len() {
                 return;
             }
-            let mut local = Vec::with_capacity(cuboids[i].len());
-            for &t in &cuboids[i] {
-                local.push((t, per_object(t, stats)));
+            let local: Result<Vec<_>> = cuboids[i]
+                .iter()
+                .map(|&t| Ok((t, per_object(&ctx, t, &stats)?)))
+                .collect();
+            let mut all = lock(&results);
+            match (all.as_mut(), local) {
+                (Ok(all), Ok(local)) => all.extend(local),
+                (Ok(_), Err(e)) => *all = Err(e),
+                (Err(_), _) => {}
             }
-            lock(&results).extend(local);
         });
-        let gathered = results
+        let mut out = results
             .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut out = Vec::with_capacity(gathered.len());
-        for (t, r) in gathered {
-            out.push((t, r?));
-        }
+            .unwrap_or_else(std::sync::PoisonError::into_inner)?;
         out.sort_by_key(|(t, _)| *t);
-        Ok(out)
-    }
-
-    /// Streaming drive: cuboid batches flow through the four-stage
-    /// pipeline (generate → decode → build → eval) on bounded queues, so
-    /// one batch's kernel evaluation overlaps the next batch's decode.
-    ///
-    /// Evaluation items are *per target object* rather than per cuboid,
-    /// so parallelism is no longer capped by the cuboid count — the
-    /// wall-clock win on coarse cuboid grids. Results are byte-identical
-    /// to the phased driver: the eval stage runs the same `per_object`
-    /// closure, and the gather/sort tail is shared.
-    fn drive_pipelined<R: Send>(
-        &self,
-        cfg: &QueryConfig,
-        cuboids: &[Vec<ObjectId>],
-        stats: &ExecStats,
-        hints: &(impl Fn(ObjectId) -> Vec<ObjectId> + Sync),
-        per_object: &(impl Fn(ObjectId, &ExecStats) -> Result<R> + Sync),
-    ) -> Result<Vec<(ObjectId, R)>> {
-        use std::sync::Arc;
-        /// Decoded geometry pinned between the decode and eval stages so
-        /// cache eviction cannot undo the prefetch: (is_target, id, data).
-        type Pins = Vec<(bool, ObjectId, Arc<crate::cache::LodData>)>;
-
-        let lods = self.lods(cfg);
-        let lod0 = lods.first().copied().unwrap_or(0);
-        // LOCK-RANK(80): per-drive result accumulator — a leaf below the
-        // cache locks (50–70); the eval stage takes it briefly per item,
-        // never while holding any other lock.
-        let results: std::sync::Mutex<Vec<(ObjectId, Result<R>)>> =
-            std::sync::Mutex::new(Vec::with_capacity(self.target.len()));
-
-        crate::pipeline::run_pipeline(
-            cuboids.len(),
-            cfg.threads.max(1),
-            cfg.queue_cap.max(1),
-            &cfg.deadline,
-            stats,
-            // Stage 1 — generate: one cuboid becomes one batch of
-            // (target, prefetch hints), in cuboid order (§5.3 locality).
-            |i| {
-                let cuboid = cuboids.get(i)?;
-                if cuboid.is_empty() {
-                    return None;
-                }
-                Some(
-                    cuboid
-                        .iter()
-                        .map(|&t| (t, hints(t)))
-                        .collect::<Vec<(ObjectId, Vec<ObjectId>)>>(),
-                )
-            },
-            // Stage 2 — batched LOD decode through the sharded cache:
-            // warm the first ladder rung for the whole batch so eval's
-            // gets are hits. Best effort — a failed or missing prefetch
-            // simply resurfaces as a decode inside eval.
-            |batch| {
-                let mut pins: Pins = Vec::new();
-                for (t, cands) in &batch {
-                    // No candidates = the filter answers this target
-                    // without geometry; decoding it would be pure waste.
-                    if cands.is_empty() {
-                        continue;
-                    }
-                    if let Ok(g) = self.target.get(*t, lod0, stats) {
-                        pins.push((true, *t, g));
-                    }
-                    for &c in cands {
-                        if let Ok(g) = self.source.get(c, lod0, stats) {
-                            pins.push((false, c, g));
-                        }
-                    }
-                }
-                (batch, pins)
-            },
-            // Stage 3 — accelerator build: materialise the lazy structure
-            // the configured strategy evaluates with (AABB/OBB tree or
-            // skeleton groups). The structures live in the cache-shared
-            // `LodData`, so eval reuses them without rebuild.
-            |(batch, pins): (Vec<(ObjectId, Vec<ObjectId>)>, Pins)| {
-                for (is_target, id, g) in &pins {
-                    match cfg.accel {
-                        Accel::Aabb => {
-                            let _ = g.tree();
-                        }
-                        Accel::ObbTree => {
-                            let _ = g.obb_tree();
-                        }
-                        Accel::Partition | Accel::PartitionGpu => {
-                            let sk = if *is_target {
-                                self.target.skeleton(*id)
-                            } else {
-                                self.source.skeleton(*id)
-                            };
-                            let _ = g.groups(sk);
-                        }
-                        _ => {}
-                    }
-                }
-                let pins = Arc::new(pins);
-                batch
-                    .into_iter()
-                    .map(|(t, _)| (t, Arc::clone(&pins)))
-                    .collect()
-            },
-            // Stage 4 — kernel evaluation, one item per target object
-            // (GPU-chunk flushing happens inside the computer).
-            |(t, _pins): (ObjectId, Arc<Pins>)| {
-                let r = per_object(t, stats);
-                lock(&results).push((t, r));
-            },
-        )?;
-
-        let gathered = results
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut out = Vec::with_capacity(gathered.len());
-        for (t, r) in gathered {
-            out.push((t, r?));
-        }
-        out.sort_by_key(|(t, _)| *t);
-        Ok(out)
+        Ok((out, stats))
     }
 }
 
@@ -1350,7 +1112,7 @@ mod tests {
         let engine = Engine::new(&targets, &sources);
         let cfg = QueryConfig::new(Paradigm::FilterProgressiveRefine, Accel::Brute);
         let stats = ExecStats::new();
-        let computer = engine.computer(&cfg);
+        let computer = engine.join_ctx(&cfg).computer;
         let top = targets.max_lod_overall().max(sources.max_lod_overall());
         let geom_t = targets.get(0, top, &stats).unwrap();
         let mut reference: Vec<(f64, ObjectId)> = (0..sources.len() as u32)
@@ -1424,6 +1186,22 @@ mod tests {
             engine.intersect_one(0, &live, &st).unwrap(),
             engine.intersect_one(0, &plain, &st).unwrap()
         );
+    }
+
+    #[test]
+    fn drive_stops_claiming_cuboids_after_the_first_error() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Three targets 10 apart: one cuboid each under the default cell.
+        let (t, s) = setup();
+        let engine = Engine::new(&t, &s);
+        let cfg = QueryConfig::new(Paradigm::FilterProgressiveRefine, Accel::Brute);
+        let calls = AtomicUsize::new(0);
+        let out = engine.drive(&cfg, |_, _, _| -> Result<()> {
+            calls.fetch_add(1, Ordering::Relaxed);
+            Err(crate::Error::DeadlineExceeded)
+        });
+        assert!(matches!(out, Err(crate::Error::DeadlineExceeded)));
+        assert_eq!(calls.load(Ordering::Relaxed), 1);
     }
 
     #[test]

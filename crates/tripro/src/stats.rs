@@ -8,17 +8,6 @@ use std::time::Duration;
 /// Maximum LOD index tracked by the per-LOD counters.
 pub const MAX_TRACKED_LOD: usize = 15;
 
-/// Number of stages in the pipelined join executor (generate / decode /
-/// build / eval — see [`crate::pipeline`]).
-pub const PIPELINE_STAGES: usize = 4;
-
-/// Number of bounded inter-stage queues (one between each adjacent stage
-/// pair: gen→decode, decode→build, build→eval).
-pub const PIPELINE_QUEUES: usize = PIPELINE_STAGES - 1;
-
-/// Human-readable stage names, indexed like the `stage_*` arrays.
-pub const STAGE_NAMES: [&str; PIPELINE_STAGES] = ["generate", "decode", "build", "eval"];
-
 /// Thread-safe accumulator for one query execution.
 #[derive(Debug, Default)]
 pub struct ExecStats {
@@ -51,15 +40,6 @@ pub struct ExecStats {
     /// into the top bucket. Silent clamping would make the Fig 12 per-LOD
     /// breakdown lie for deep ladders; this counter is the signal.
     pub lod_overflow: AtomicU64,
-    /// Busy nanoseconds per pipeline stage (generate/decode/build/eval).
-    /// Summed across workers, so `sum(stage_ns) / wall_ns > 1` is the
-    /// direct witness that stages overlapped (see docs/performance.md).
-    pub stage_ns: [AtomicU64; PIPELINE_STAGES],
-    /// Items processed per pipeline stage.
-    pub stage_items: [AtomicU64; PIPELINE_STAGES],
-    /// Times a producer found its downstream queue full and had to run the
-    /// consumer stage inline (backpressure events, per queue).
-    pub queue_stalls: [AtomicU64; PIPELINE_QUEUES],
 }
 
 impl ExecStats {
@@ -106,23 +86,6 @@ impl ExecStats {
         self.pairs_pruned[lod.min(MAX_TRACKED_LOD)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record busy time and one processed item for pipeline stage `stage`
-    /// (clamped into the last slot — the stage set is fixed at compile
-    /// time, so out-of-range only happens on caller bugs).
-    #[inline]
-    pub fn add_stage(&self, stage: usize, d: Duration) {
-        let s = stage.min(PIPELINE_STAGES - 1);
-        self.stage_ns[s].fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-        self.stage_items[s].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a backpressure stall on inter-stage queue `queue`
-    /// (0 = gen→decode, 1 = decode→build, 2 = build→eval).
-    #[inline]
-    pub fn record_stall(&self, queue: usize) {
-        self.queue_stalls[queue.min(PIPELINE_QUEUES - 1)].fetch_add(1, Ordering::Relaxed);
-    }
-
     #[inline]
     pub fn add_decoded_bytes(&self, n: u64) {
         self.decoded_bytes.fetch_add(n, Ordering::Relaxed);
@@ -150,21 +113,14 @@ impl ExecStats {
             a.fetch_add(*v, Ordering::Relaxed);
         }
         self.cache_hits.fetch_add(s.cache_hits, Ordering::Relaxed);
-        self.cache_misses.fetch_add(s.cache_misses, Ordering::Relaxed);
+        self.cache_misses
+            .fetch_add(s.cache_misses, Ordering::Relaxed);
         self.decodes.fetch_add(s.decodes, Ordering::Relaxed);
         self.decoded_bytes
             .fetch_add(s.decoded_bytes, Ordering::Relaxed);
         self.lod_rounds.fetch_add(s.lod_rounds, Ordering::Relaxed);
-        self.lod_overflow.fetch_add(s.lod_overflow, Ordering::Relaxed);
-        for (a, v) in self.stage_ns.iter().zip(&s.stage_ns) {
-            a.fetch_add(*v, Ordering::Relaxed);
-        }
-        for (a, v) in self.stage_items.iter().zip(&s.stage_items) {
-            a.fetch_add(*v, Ordering::Relaxed);
-        }
-        for (a, v) in self.queue_stalls.iter().zip(&s.queue_stalls) {
-            a.fetch_add(*v, Ordering::Relaxed);
-        }
+        self.lod_overflow
+            .fetch_add(s.lod_overflow, Ordering::Relaxed);
     }
 
     /// Snapshot into a plain, serialisable struct.
@@ -190,21 +146,6 @@ impl ExecStats {
             decoded_bytes: self.decoded_bytes.load(Ordering::Relaxed),
             lod_rounds: self.lod_rounds.load(Ordering::Relaxed),
             lod_overflow: self.lod_overflow.load(Ordering::Relaxed),
-            stage_ns: self
-                .stage_ns
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .collect(),
-            stage_items: self
-                .stage_items
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .collect(),
-            queue_stalls: self
-                .queue_stalls
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .collect(),
         }
     }
 }
@@ -229,13 +170,6 @@ pub struct StatsSnapshot {
     /// [`ExecStats::lod_overflow`]); nonzero means `pairs_evaluated[15]` /
     /// `pairs_pruned[15]` aggregate more than one real LOD.
     pub lod_overflow: u64,
-    /// Busy nanoseconds per pipeline stage ([`STAGE_NAMES`] order); all
-    /// zero under the phase-sequential driver.
-    pub stage_ns: Vec<u64>,
-    /// Items processed per pipeline stage.
-    pub stage_items: Vec<u64>,
-    /// Backpressure stalls per inter-stage queue.
-    pub queue_stalls: Vec<u64>,
 }
 
 impl StatsSnapshot {
@@ -264,30 +198,6 @@ impl StatsSnapshot {
         }
     }
 
-    /// Fraction of object pairs pruned at each LOD that saw evaluations —
-    /// the quantity §4.4 compares against `1/r²` to pick refinement LODs.
-    ///
-    /// Clamped to `[0, 1]`: some resolution paths (NN/kNN threshold prunes,
-    /// the containment fallback at top LOD) record a prune without a
-    /// matching evaluation at that LOD, so the raw ratio can exceed 1.
-    /// The profiler's break-even thresholds are always `< 1`, so clamping
-    /// never changes an LOD choice — it only keeps the reported fraction a
-    /// fraction.
-    /// Pipeline overlap factor: total per-stage busy time divided by the
-    /// join's wall-clock time. Values above 1.0 prove stages ran
-    /// concurrently (e.g. batch N's kernel evaluation overlapping batch
-    /// N+1's decode); the theoretical ceiling is the worker count. Returns
-    /// 0.0 for `wall == 0` or when no stage time was recorded (phased run).
-    pub fn overlap_factor(&self, wall: Duration) -> f64 {
-        let busy: u64 = self.stage_ns.iter().sum();
-        let wall_ns = wall.as_nanos() as u64;
-        if wall_ns == 0 || busy == 0 {
-            0.0
-        } else {
-            busy as f64 / wall_ns as f64
-        }
-    }
-
     /// Object pairs resolved (pruned from further refinement) across all
     /// LODs — the denominator of the decoded-bytes-per-resolved-pair
     /// attribution ratio.
@@ -305,6 +215,15 @@ impl StatsSnapshot {
         }
     }
 
+    /// Fraction of object pairs pruned at each LOD that saw evaluations —
+    /// the quantity §4.4 compares against `1/r²` to pick refinement LODs.
+    ///
+    /// Clamped to `[0, 1]`: some resolution paths (NN/kNN threshold prunes,
+    /// the containment fallback at top LOD) record a prune without a
+    /// matching evaluation at that LOD, so the raw ratio can exceed 1.
+    /// The profiler's break-even thresholds are always `< 1`, so clamping
+    /// never changes an LOD choice — it only keeps the reported fraction a
+    /// fraction.
     pub fn pruned_fractions(&self) -> Vec<(usize, f64)> {
         self.pairs_evaluated
             .iter()
@@ -495,29 +414,6 @@ mod tests {
     }
 
     #[test]
-    fn stage_counters_accumulate_and_overlap_factor() {
-        let s = ExecStats::new();
-        s.add_stage(1, Duration::from_millis(6));
-        s.add_stage(3, Duration::from_millis(6));
-        s.add_stage(3, Duration::from_millis(6));
-        s.record_stall(2);
-        s.record_stall(99); // clamped into the last queue slot
-        let snap = s.snapshot();
-        assert_eq!(snap.stage_ns[1], 6_000_000);
-        assert_eq!(snap.stage_ns[3], 12_000_000);
-        assert_eq!(snap.stage_items, vec![0, 1, 0, 2]);
-        assert_eq!(snap.queue_stalls, vec![0, 0, 2]);
-        // 18ms of busy time over a 9ms wall clock = 2x overlap.
-        let f = snap.overlap_factor(Duration::from_millis(9));
-        assert!((f - 2.0).abs() < 1e-9, "overlap {f}");
-        assert_eq!(snap.overlap_factor(Duration::ZERO), 0.0);
-        assert_eq!(
-            StatsSnapshot::default().overlap_factor(Duration::from_secs(1)),
-            0.0
-        );
-    }
-
-    #[test]
     fn merge_from_folds_every_counter() {
         let a = ExecStats::new();
         a.add_filter(Duration::from_millis(1));
@@ -525,8 +421,6 @@ mod tests {
         a.record_pair_pruned(2);
         a.add_decoded_bytes(100);
         a.record_lod_round();
-        a.add_stage(0, Duration::from_millis(1));
-        a.record_stall(0);
         let b = ExecStats::new();
         b.add_filter(Duration::from_millis(2));
         b.add_decoded_bytes(50);
@@ -539,8 +433,6 @@ mod tests {
         assert_eq!(snap.pairs_pruned[2], 1);
         assert_eq!(snap.decoded_bytes, 150);
         assert_eq!(snap.lod_rounds, 3);
-        assert_eq!(snap.stage_ns[0], 1_000_000);
-        assert_eq!(snap.queue_stalls[0], 1);
         assert_eq!(snap.resolved_pairs(), 1);
         assert!((snap.bytes_per_resolved_pair() - 150.0).abs() < 1e-9);
         assert_eq!(StatsSnapshot::default().bytes_per_resolved_pair(), 0.0);

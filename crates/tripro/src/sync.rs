@@ -52,33 +52,6 @@ pub fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> 
     guard
 }
 
-/// Block on a condition variable with a timeout, recovering from poisoning
-/// like [`lock`]. Returns the re-acquired guard and whether the wait timed
-/// out (no notification arrived within `dur`). Callers use the timeout to
-/// poll cooperative deadlines while parked — the pipeline scheduler's idle
-/// workers are the canonical site.
-pub fn wait_timeout<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    dur: std::time::Duration,
-) -> (MutexGuard<'a, T>, bool) {
-    #[cfg(tripro_shuttle)]
-    shuttle::yield_point();
-    // tripro_lint::allow(condvar_wait_loop): this IS the wait primitive —
-    // the predicate loop lives at every call site, where L7 enforces it.
-    let waited = cv.wait_timeout(guard, dur);
-    let (guard, timed_out) = match waited {
-        Ok((g, t)) => (g, t.timed_out()),
-        Err(poisoned) => {
-            let (g, t) = poisoned.into_inner();
-            (g, t.timed_out())
-        }
-    };
-    #[cfg(tripro_shuttle)]
-    shuttle::yield_point();
-    (guard, timed_out)
-}
-
 /// Seeded schedule-perturbation shim for real-thread stress runs.
 ///
 /// Gated behind `--cfg tripro_shuttle` so release binaries never pay for

@@ -204,16 +204,13 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_modules_are_fully_linted() {
-        // The streaming join executor is hot-path engine code AND lock
-        // infrastructure: it must stay in the no-panic set and under the
-        // full concurrency rule battery (lock ranks on its hub/channel
-        // mutexes, ordering notes on the occupancy atomics, predicate
-        // loops around its condvar waits).
-        for file in [
-            "crates/tripro/src/pipeline.rs",
-            "crates/tripro/src/query.rs",
-        ] {
+    fn join_driver_modules_are_fully_linted() {
+        // The join driver and the pool it runs on are hot-path engine
+        // code AND lock infrastructure: they must stay in the no-panic set
+        // and under the full concurrency rule battery (lock ranks on the
+        // result accumulator and the job mutex, ordering notes on the
+        // claim counter, predicate loops around the pool's condvar waits).
+        for file in ["crates/tripro/src/query.rs", "crates/tripro/src/pool.rs"] {
             let rules = rules_for(file);
             assert!(rules.contains(&Rule::NoPanic), "{file} must be no-panic");
             for rule in [Rule::LockOrder, Rule::AtomicOrdering, Rule::CondvarWaitLoop] {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Join-benchmark snapshot for CI: runs the bench_joins harness at tiny
-# scale and leaves target/harness/BENCH_joins.json for artifact upload.
+# Observability overhead guard for CI: runs the bench_obs harness at tiny
+# scale and leaves target/harness/BENCH_obs.json for artifact upload.
+# (Join timings live in the ledger: benchmark/run.sh, `query.*_join_ms`.)
 #
 # Usage: scripts/bench_snapshot.sh [scale]
 #   scale: tiny (default) | small | medium
@@ -11,16 +12,6 @@ SCALE="${1:-${TRIPRO_SCALE:-tiny}}"
 export TRIPRO_SCALE="$SCALE"
 
 echo "[bench_snapshot] scale=$TRIPRO_SCALE threads=${TRIPRO_THREADS:-auto}"
-cargo run --release -p tripro-bench --bin bench_joins
-
-test -s target/harness/BENCH_joins.json
-# The snapshot must carry the pipelined-vs-phased comparison (wall time,
-# overlap factor, per-stage occupancy) alongside the paradigm/accel cells.
-grep -q '"exec_overlap"' target/harness/BENCH_joins.json
-grep -q '"overlap_factor"' target/harness/BENCH_joins.json
-echo "[bench_snapshot] ok: target/harness/BENCH_joins.json (with exec_overlap columns)"
-
-echo "[bench_snapshot] observability overhead guard"
 cargo run --release -p tripro-bench --bin bench_obs
 
 test -s target/harness/BENCH_obs.json

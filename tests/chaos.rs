@@ -312,8 +312,10 @@ fn arm_schedule(seed: u64) -> String {
             },
         ),
         1 => arm(fault::CACHE_INSERT, FaultAction::Err, Trigger::Every(3)),
+        // A helper declining its claim: the batch executor's caller
+        // participant still has to complete the region alone.
         _ => arm(
-            fault::PIPELINE_PUSH,
+            fault::POOL_DISPATCH,
             FaultAction::Err,
             Trigger::Every(4 + (r >> 16) % 4),
         ),

@@ -237,288 +237,6 @@ fn span_ring_publication_is_torn_free() {
     assert!(report.complete, "schedule space not exhausted");
 }
 
-/// The pipelined join executor's bounded-queue handoff
-/// (crates/tripro/src/pipeline.rs): a producer claims an input token
-/// (`outstanding += 1` on the hub), try-pushes into a bounded channel and —
-/// on `Full` — runs the downstream stage inline instead of blocking; the
-/// consumer parks on the hub condvar behind a predicate, pops, and retires
-/// the token. The producer then closes the channel (queued items stay
-/// poppable), helps drain the sink, and parks until `outstanding == 0`.
-/// Exhaustively: every claimed item is consumed exactly once (whether it
-/// travelled the queue, was drained after close, or was absorbed by the
-/// inline-downstream fallback), the bound is never exceeded, and no
-/// schedule strands the producer on its drain wait.
-#[test]
-fn pipeline_queue_close_and_drain_under_all_schedules() {
-    #[derive(Default)]
-    struct S {
-        q: Vec<u32>,
-        closed: bool,
-        claimed: u32,
-        outstanding: i64,
-        consumed: u32,
-        inline_consumed: u32,
-        stalls: u32,
-        /// Producer scratch: the last try_push bounced off a full queue.
-        pending: bool,
-        /// Per-thread scratch: item popped but not yet retired.
-        popped: [Option<u32>; 2],
-    }
-    const CAP: usize = 1;
-    const M: usize = 0; // hub mutex
-    const CV: usize = 0; // hub condvar
-
-    let mut producer_ops: Vec<Op<S>> = Vec::new();
-    for _ in 0..2 {
-        producer_ops.extend([
-            // Claim an input token on the hub.
-            step(|s: &mut S, _| {
-                s.claimed += 1;
-                s.outstanding += 1;
-            }),
-            // try_push against the bounded channel.
-            step(|s: &mut S, _| {
-                if !s.closed && s.q.len() < CAP {
-                    s.q.push(1);
-                } else {
-                    s.pending = true;
-                    s.stalls += 1;
-                }
-            }),
-            // Backpressure: on Full, run the downstream stage inline
-            // (never block) and retire the token ourselves.
-            step(|s: &mut S, _| {
-                if s.pending {
-                    s.consumed += 1;
-                    s.inline_consumed += 1;
-                    s.outstanding -= 1;
-                    s.pending = false;
-                }
-            }),
-            Op::NotifyAll(at(CV)),
-        ]);
-    }
-    // Producer close: queued items remain poppable until drained.
-    producer_ops.push(step(|s: &mut S, _| s.closed = true));
-    producer_ops.push(Op::NotifyAll(at(CV)));
-    // Work-conserving drain: the producer helps empty the sink queue.
-    for _ in 0..2 {
-        producer_ops.extend([
-            step(|s: &mut S, _| s.popped[0] = s.q.pop()),
-            step(|s: &mut S, _| {
-                if s.popped[0].take().is_some() {
-                    s.consumed += 1;
-                    s.outstanding -= 1;
-                }
-            }),
-            Op::NotifyAll(at(CV)),
-        ]);
-    }
-    // Completion wait: park until every claimed token is retired.
-    producer_ops.extend([
-        Op::Lock(at(M)),
-        wait_while(CV, M, |s: &S| s.outstanding > 0),
-        Op::Unlock(at(M)),
-    ]);
-
-    // Consumer: park behind the hub predicate, pop, consume, retire.
-    let consumer = Thread::daemon(vec![
-        Op::Lock(at(M)),
-        wait_while(CV, M, |s: &S| s.q.is_empty() && !s.closed),
-        Op::Unlock(at(M)),
-        step(|s: &mut S, _| s.popped[1] = s.q.pop()),
-        step(|s: &mut S, _| {
-            if s.popped[1].take().is_some() {
-                s.consumed += 1;
-                s.outstanding -= 1;
-            }
-        }),
-        Op::NotifyAll(at(CV)),
-    ]);
-
-    let model = Model {
-        threads: vec![Thread::new(producer_ops), consumer],
-        mutexes: 1,
-        condvars: 1,
-    };
-    let report = model
-        .explore(
-            S::default,
-            |s| {
-                if s.q.len() > CAP {
-                    return Err(format!("bound exceeded: {} queued", s.q.len()));
-                }
-                if s.outstanding < 0 || s.consumed > s.claimed {
-                    return Err(format!(
-                        "token accounting broke: outstanding={} consumed={} claimed={}",
-                        s.outstanding, s.consumed, s.claimed
-                    ));
-                }
-                Ok(())
-            },
-            |s| {
-                if s.claimed == 2 && s.consumed == 2 && s.outstanding == 0 && s.q.is_empty() {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "handoff lost work: claimed={} consumed={} outstanding={} queued={}",
-                        s.claimed,
-                        s.consumed,
-                        s.outstanding,
-                        s.q.len()
-                    ))
-                }
-            },
-            2_000_000,
-        )
-        .expect("bounded-queue handoff must drain under every schedule");
-    assert!(report.complete, "schedule space not exhausted");
-    assert!(
-        report.schedules > 100,
-        "suspiciously few schedules explored"
-    );
-}
-
-/// Deadline abort mid-pipeline (crates/tripro/src/pipeline.rs): a worker
-/// that observes an expired deadline raises the hub abort flag and closes
-/// the channels; claims after the flag return `None`, pushes against a
-/// closed channel drop the item and retire its token, and queued items are
-/// drained (dropped, not evaluated) rather than leaked. Exhaustively:
-/// whatever the interleaving of the abort with claims, pushes and pops,
-/// every claimed token is retired — so the completion wait can never
-/// strand — and `consumed + dropped == claimed` at quiescence.
-#[test]
-fn pipeline_deadline_abort_retires_every_token() {
-    #[derive(Default)]
-    struct S {
-        q: Vec<u32>,
-        abort: bool,
-        closed: bool,
-        claimed: u32,
-        outstanding: i64,
-        consumed: u32,
-        dropped: u32,
-        /// Producer scratch: claimed an input but not yet handed it off.
-        have: bool,
-        popped: [Option<u32>; 2],
-    }
-    const CAP: usize = 2;
-    const M: usize = 0;
-    const CV: usize = 0;
-
-    let mut producer_ops: Vec<Op<S>> = Vec::new();
-    for _ in 0..2 {
-        producer_ops.extend([
-            // claim_input: refuses once the abort flag is up.
-            step(|s: &mut S, _| {
-                if !s.abort {
-                    s.claimed += 1;
-                    s.outstanding += 1;
-                    s.have = true;
-                }
-            }),
-            // try_push: a closed channel refuses the item.
-            step(|s: &mut S, _| {
-                if s.have && !s.closed && s.q.len() < CAP {
-                    s.q.push(1);
-                    s.have = false;
-                }
-            }),
-            // Closed → drop the item and retire its token (no leak).
-            step(|s: &mut S, _| {
-                if s.have {
-                    s.dropped += 1;
-                    s.outstanding -= 1;
-                    s.have = false;
-                }
-            }),
-            Op::NotifyAll(at(CV)),
-        ]);
-    }
-    // Cancellation drain: pop what remains; after abort the items are
-    // discarded, not evaluated, but their tokens still retire.
-    for _ in 0..2 {
-        producer_ops.extend([
-            step(|s: &mut S, _| s.popped[0] = s.q.pop()),
-            step(|s: &mut S, _| {
-                if s.popped[0].take().is_some() {
-                    if s.abort {
-                        s.dropped += 1;
-                    } else {
-                        s.consumed += 1;
-                    }
-                    s.outstanding -= 1;
-                }
-            }),
-            Op::NotifyAll(at(CV)),
-        ]);
-    }
-    producer_ops.extend([
-        Op::Lock(at(M)),
-        wait_while(CV, M, |s: &S| s.outstanding > 0),
-        Op::Unlock(at(M)),
-    ]);
-
-    // A second worker hits the deadline: raise abort, close the channels,
-    // wake everyone, then help drain.
-    let aborter = Thread::new(vec![
-        step(|s: &mut S, _| {
-            s.abort = true;
-            s.closed = true;
-        }),
-        Op::NotifyAll(at(CV)),
-        step(|s: &mut S, _| s.popped[1] = s.q.pop()),
-        step(|s: &mut S, _| {
-            if s.popped[1].take().is_some() {
-                s.dropped += 1;
-                s.outstanding -= 1;
-            }
-        }),
-        Op::NotifyAll(at(CV)),
-    ]);
-
-    let model = Model {
-        threads: vec![Thread::new(producer_ops), aborter],
-        mutexes: 1,
-        condvars: 1,
-    };
-    let report = model
-        .explore(
-            S::default,
-            |s| {
-                if s.q.len() > CAP {
-                    return Err(format!("bound exceeded: {} queued", s.q.len()));
-                }
-                if s.outstanding < 0 {
-                    return Err("token retired twice".to_string());
-                }
-                Ok(())
-            },
-            |s| {
-                if s.outstanding == 0 && s.q.is_empty() && s.consumed + s.dropped == s.claimed {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "abort leaked work: claimed={} consumed={} dropped={} \
-                         outstanding={} queued={}",
-                        s.claimed,
-                        s.consumed,
-                        s.dropped,
-                        s.outstanding,
-                        s.q.len()
-                    ))
-                }
-            },
-            2_000_000,
-        )
-        .expect("deadline abort must retire every token under every schedule");
-    assert!(report.complete, "schedule space not exhausted");
-    assert!(
-        report.schedules > 100,
-        "suspiciously few schedules explored"
-    );
-}
-
 /// Seeded-bug check: remove the slot lock and split the two-word write
 /// into two steps (the bug the locked protocol prevents) — the explorer
 /// must find a schedule where the scraper observes a torn record. This is
