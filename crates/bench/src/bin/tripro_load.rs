@@ -23,6 +23,7 @@
 //! dependency-free) lands in `target/harness/BENCH_serve.json`.
 
 use std::time::{Duration, Instant};
+use tripro::obs::{MetricSnapshot, MetricValue};
 use tripro_serve::{Client, ErrorCode, QueryReply, Request, RetryPolicy, RetryingClient};
 
 /// Request kinds the generator can mix.
@@ -327,27 +328,25 @@ fn drive_client(a: &Args, n_targets: u64, client: usize, start: Instant) -> Resu
     Ok(t)
 }
 
-/// Sum every sample of one metric family (any label set) in a Prometheus
-/// text exposition; `None` when the family never appears.
-fn scrape_sum(text: &str, family: &str) -> Option<f64> {
-    let mut sum = 0.0;
-    let mut seen = false;
-    for line in text.lines() {
-        if line.starts_with('#') {
+/// `(sum, count)` of one metric family over a `Metrics` snapshot (a
+/// counter contributes its value as `sum`). On a coordinator's federated
+/// snapshot only the exact `node="cluster"` aggregates are taken, so
+/// nothing is counted once per node and once more in the total.
+fn family_total(snapshot: &[MetricSnapshot], family: &str) -> (f64, f64) {
+    let mut total = (0.0, 0.0);
+    for s in snapshot.iter().filter(|s| s.name == family) {
+        if s.labels.contains("node=") && !s.labels.contains("node=\"cluster\"") {
             continue;
         }
-        let Some((sample, value)) = line.rsplit_once(' ') else {
-            continue;
-        };
-        let name = sample.split_once('{').map_or(sample, |(n, _)| n);
-        if name == family {
-            if let Ok(v) = value.trim().parse::<f64>() {
-                sum += v;
-                seen = true;
+        match &s.value {
+            MetricValue::Counter(v) => total.0 += *v as f64,
+            MetricValue::Histogram(h) => {
+                total.0 += h.sum as f64;
+                total.1 += h.count as f64;
             }
         }
     }
-    seen.then_some(sum)
+    total
 }
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
@@ -379,10 +378,10 @@ fn main() {
                     std::process::exit(1);
                 }
             };
-            match probe.stats() {
+            match probe.shard_info() {
                 Ok(s) => n = s.target_objects,
                 Err(e) => {
-                    eprintln!("tripro-load: stats probe failed for {addr}: {e}");
+                    eprintln!("tripro-load: shard-info probe failed for {addr}: {e}");
                     std::process::exit(1);
                 }
             }
@@ -473,28 +472,16 @@ fn main() {
     // when one fronts the cluster) for fan-out, merge-latency and
     // per-shard error metrics. A plain engine reports all zeros.
     let (fanout_avg, fanout_queries, merge_ms_avg, shard_errors) = {
-        let text = Client::connect(&a.addrs[0])
+        let snapshot = Client::connect(&a.addrs[0])
             .and_then(|mut c| c.metrics())
             .unwrap_or_default();
-        let fo_sum = scrape_sum(&text, "tripro_shard_fanout_sum").unwrap_or(0.0);
-        let fo_count = scrape_sum(&text, "tripro_shard_fanout_count").unwrap_or(0.0);
-        let mg_sum = scrape_sum(&text, "tripro_merge_seconds_sum").unwrap_or(0.0);
-        let mg_count = scrape_sum(&text, "tripro_merge_seconds_count").unwrap_or(0.0);
-        let errs = scrape_sum(&text, "tripro_shard_errors_total").unwrap_or(0.0);
+        let (fo_sum, fo_count) = family_total(&snapshot, "tripro_shard_fanout");
+        let (mg_ns, mg_count) = family_total(&snapshot, "tripro_merge_seconds");
+        let (errs, _) = family_total(&snapshot, "tripro_shard_errors_total");
         (
-            // Integer histograms expose `_sum` through the same
-            // nanosecond-scaled ladder as durations; undo the 1e-9.
-            if fo_count > 0.0 {
-                fo_sum * 1e9 / fo_count
-            } else {
-                0.0
-            },
+            fo_sum / fo_count.max(1.0),
             fo_count as u64,
-            if mg_count > 0.0 {
-                mg_sum / mg_count * 1e3
-            } else {
-                0.0
-            },
+            mg_ns / 1e6 / mg_count.max(1.0),
             errs as u64,
         )
     };

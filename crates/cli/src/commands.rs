@@ -386,16 +386,7 @@ pub fn serve(a: &Parsed) -> Result<(), CliError> {
     if inject_ms > 0 {
         cfg.inject_latency = Some(Duration::from_millis(inject_ms));
     }
-    // Flag *presence* enables tracing, so an explicit `--trace-slow-ms 0`
-    // means "trace every request" (the smoke gates rely on this).
-    if a.get("trace-slow-ms").is_some() {
-        let trace_slow_ms: u64 = a.get_parsed("trace-slow-ms", 0u64)?;
-        cfg.trace = tripro::TraceConfig {
-            enabled: true,
-            slow_threshold: Duration::from_millis(trace_slow_ms),
-            ..Default::default()
-        };
-    }
+    cfg.trace = trace_config(a)?;
 
     let (n_target, n_source) = (target.len(), source.len());
     let server = Server::start(target, source, cfg)?;
@@ -404,22 +395,43 @@ pub fn serve(a: &Parsed) -> Result<(), CliError> {
          send a Shutdown frame to stop",
         server.addr()
     );
+    run_until_shutdown(a, "served", &server, Server::wait, Server::stats)?;
+    server.shutdown();
+    Ok(())
+}
+
+/// `--trace-slow-ms MS`: flag *presence* enables tracing, so an explicit 0
+/// means "trace every request" (the smoke gates rely on this).
+fn trace_config(a: &Parsed) -> Result<tripro::TraceConfig, CliError> {
+    let mut cfg = tripro::TraceConfig::default();
+    if a.get("trace-slow-ms").is_some() {
+        cfg.enabled = true;
+        cfg.slow_threshold = std::time::Duration::from_millis(a.get_parsed("trace-slow-ms", 0u64)?);
+    }
+    Ok(cfg)
+}
+
+/// Serve for `--duration SECS`, or until a wire `Shutdown` drains the node,
+/// then print its request ledger.
+fn run_until_shutdown<N>(
+    a: &Parsed,
+    verb: &str,
+    node: &N,
+    drained: fn(&N),
+    stats: fn(&N) -> tripro::ServiceSnapshot,
+) -> Result<(), CliError> {
     let duration_s: u64 = a.get_parsed("duration", 0u64)?;
     if duration_s > 0 {
-        std::thread::sleep(Duration::from_secs(duration_s));
+        std::thread::sleep(std::time::Duration::from_secs(duration_s));
     } else {
-        // tripro_lint::allow(condvar_wait_loop): Server::wait is a blocking
-        // join API (it owns its predicate loop internally), not a raw
-        // Condvar wait.
-        server.wait();
+        drained(node);
     }
-    let s = server.stats();
+    let s = stats(node);
     eprintln!(
-        "served: {} admitted, {} completed, {} failed ({} from contained panics), \
+        "{verb}: {} admitted, {} completed, {} failed ({} from contained panics), \
          {} shed, {} deadline-expired, {} protocol errors",
         s.admitted, s.completed, s.failed, s.panics, s.shed, s.deadline_expired, s.protocol_errors
     );
-    server.shutdown();
     Ok(())
 }
 
@@ -458,15 +470,7 @@ fn serve_coordinator(a: &Parsed) -> Result<(), CliError> {
     if cap_ms > 0 {
         cfg.deadline_cap = Some(Duration::from_millis(cap_ms));
     }
-    // Presence enables tracing; an explicit 0 traces every request.
-    if a.get("trace-slow-ms").is_some() {
-        let trace_slow_ms: u64 = a.get_parsed("trace-slow-ms", 0u64)?;
-        cfg.trace = tripro::TraceConfig {
-            enabled: true,
-            slow_threshold: Duration::from_millis(trace_slow_ms),
-            ..Default::default()
-        };
-    }
+    cfg.trace = trace_config(a)?;
 
     let n_shards = cfg.shards.len();
     let coord = Coordinator::start(target, cfg).map_err(|e| CliError::msg(e.to_string()))?;
@@ -476,34 +480,28 @@ fn serve_coordinator(a: &Parsed) -> Result<(), CliError> {
         coord.addr(),
         coord.shard_map().epoch
     );
-    let duration_s: u64 = a.get_parsed("duration", 0u64)?;
-    if duration_s > 0 {
-        std::thread::sleep(Duration::from_secs(duration_s));
-    } else {
-        // tripro_lint::allow(condvar_wait_loop): Coordinator::wait is a
-        // blocking join API (it owns its predicate loop internally), not a
-        // raw Condvar wait.
-        coord.wait();
-    }
-    let s = coord.stats();
-    eprintln!(
-        "coordinated: {} admitted, {} completed, {} failed ({} from contained panics), \
-         {} shed, {} deadline-expired, {} protocol errors",
-        s.admitted, s.completed, s.failed, s.panics, s.shed, s.deadline_expired, s.protocol_errors
-    );
+    run_until_shutdown(
+        a,
+        "coordinated",
+        &coord,
+        Coordinator::wait,
+        Coordinator::stats,
+    )?;
     coord.shutdown();
     Ok(())
 }
 
-/// `tripro metrics` — scrape a running server's Metrics frame and print
-/// the Prometheus text exposition.
+/// `tripro metrics` — scrape a running node's Metrics frame (a snapshot;
+/// a coordinator's is the federated cluster view) and print it as
+/// Prometheus text exposition.
 pub fn metrics(a: &Parsed) -> Result<(), CliError> {
     let addr = a.get("addr").unwrap_or("127.0.0.1:3750");
     let mut client =
         tripro_serve::Client::connect(addr).map_err(|e| CliError::msg(format!("{addr}: {e}")))?;
-    let text = client
+    let snapshot = client
         .metrics()
         .map_err(|e| CliError::msg(format!("metrics request failed: {e}")))?;
+    let text = tripro::obs::render_snapshots(&snapshot);
     if a.has("check") {
         tripro::obs::validate_exposition(&text)
             .map_err(|e| CliError::msg(format!("malformed exposition: {e}")))?;

@@ -109,12 +109,12 @@ USAGE:
       a shard fails instead of a typed error.
 
   tripro metrics [--addr HOST:PORT] [--check]
-      Fetch a running server's metrics registry (a v2 Metrics frame) and
-      print the Prometheus text exposition. Pointed at a coordinator, the
-      exposition is federated: every shard is scraped over v6 MetricsBin
-      frames and exact-merged into one document with a node label (plus a
-      node=\"cluster\" aggregate). --check validates the exposition format
-      and fails on malformed output. Default --addr 127.0.0.1:3750. See
+      Fetch a running node's metrics snapshot (a Metrics frame) and print
+      it as Prometheus text exposition. Pointed at a coordinator, the
+      snapshot is federated: every shard's snapshot is exact-merged with
+      the coordinator's own under a node label (plus a node=\"cluster\"
+      aggregate). --check validates the exposition format and fails on
+      malformed output. Default --addr 127.0.0.1:3750. See
       docs/observability.md for the metric inventory.
 
   tripro trace --target DIR --source DIR [--slow MS] [--kind intersect|within|nn|knn]
@@ -125,7 +125,7 @@ USAGE:
       indented span trees (filter, refine rounds, decodes, pool tasks).
 
   tripro trace --addr HOST:PORT
-      Instead fetch the slow-query log of a running server over a v6
+      Instead fetch the slow-query log of a running server over a
       TraceLog frame. On a coordinator each entry is a stitched cluster
       waterfall: per-shard span summaries render as shard subtrees under
       the coordinator's root span, all under one trace id.

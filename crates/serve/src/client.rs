@@ -12,9 +12,8 @@
 //! hint), reconnect-on-reset and a per-request retry budget.
 
 use crate::protocol::{
-    encode_request_traced, read_response_traced, write_frame, ErrorCode, NodeRole, Request,
-    Response, ShardInfoPayload, StatsExPayload, StatsPayload, TraceContext, WireError, MIN_VERSION,
-    VERSION,
+    encode_request_traced, read_response, write_frame, ErrorCode, NodeRole, Request, Response,
+    ShardInfoPayload, TraceContext, WireError, VERSION,
 };
 use crate::ServeError;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -29,11 +28,11 @@ pub enum QueryReply {
     /// The query completed; result ids reassembled across pages, in the
     /// order the server produced them.
     Ids(Vec<u32>),
-    /// The query completed but the result is known-incomplete (v5+: a
+    /// The query completed but the result is known-incomplete (a
     /// coordinator answered a kNN with one or more shards missing).
     PartialIds(Vec<u32>),
-    /// Scored results (v5+ `NnEx`/`KnnEx`): ids with exact distances,
-    /// for cross-shard merging.
+    /// Scored results (`NnEx`/`KnnEx`): ids with exact distances, for
+    /// cross-shard merging.
     Scored {
         items: Vec<(u32, f64)>,
         partial: bool,
@@ -43,7 +42,7 @@ pub enum QueryReply {
     Error {
         code: ErrorCode,
         message: String,
-        /// Server backoff hint in milliseconds (v4+; 0 = no hint).
+        /// Server backoff hint in milliseconds (0 = no hint).
         retry_after_ms: u32,
     },
 }
@@ -54,14 +53,6 @@ impl QueryReply {
         match self {
             QueryReply::Ids(ids) | QueryReply::PartialIds(ids) => Some(ids),
             QueryReply::Scored { .. } | QueryReply::Error { .. } => None,
-        }
-    }
-
-    /// The scored items, if the query returned distances.
-    pub fn scored(&self) -> Option<&[(u32, f64)]> {
-        match self {
-            QueryReply::Scored { items, .. } => Some(items),
-            _ => None,
         }
     }
 
@@ -78,10 +69,6 @@ impl QueryReply {
 pub struct Client {
     stream: TcpStream,
     next_id: u64,
-    server_role: NodeRole,
-    /// Span summary from the final page of the most recent traced query
-    /// (v6+), when the server attached one.
-    last_summary: Option<SpanSummary>,
 }
 
 impl Client {
@@ -90,36 +77,31 @@ impl Client {
         Self::connect_as(addr, NodeRole::Client)
     }
 
-    /// Connect, announcing `role` in the `Hello` (v5+; a coordinator
-    /// identifies itself to its backends this way). Servers speaking
-    /// v1–v4 simply ignore the role byte.
+    /// Connect, announcing `role` in the `Hello` (a coordinator identifies
+    /// itself to its backends this way). A node that refuses the
+    /// connection — over its connection limit, or speaking another
+    /// protocol version — surfaces as [`ServeError::Refused`].
     pub fn connect_as<A: ToSocketAddrs>(addr: A, role: NodeRole) -> Result<Client, ServeError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let mut c = Client {
-            stream,
-            next_id: 1,
-            server_role: NodeRole::Engine,
-            last_summary: None,
-        };
+        let mut c = Client { stream, next_id: 1 };
         match c.roundtrip(&Request::Hello {
-            min_version: MIN_VERSION,
+            min_version: VERSION,
             max_version: VERSION,
             role,
         })? {
-            Response::HelloOk { version: _, role } => {
-                c.server_role = role;
-                Ok(c)
-            }
-            Response::Error { .. } => Err(ServeError::Unexpected("server refused version")),
+            Response::HelloOk { .. } => Ok(c),
+            Response::Error {
+                code,
+                message,
+                retry_after_ms,
+            } => Err(ServeError::Refused {
+                code,
+                message,
+                retry_after_ms,
+            }),
             _ => Err(ServeError::Unexpected("non-hello reply to hello")),
         }
-    }
-
-    /// The role the server announced in its `HelloOk` (v1–v4 servers
-    /// default to [`NodeRole::Engine`]).
-    pub fn server_role(&self) -> NodeRole {
-        self.server_role
     }
 
     /// Optional socket read timeout for all subsequent requests.
@@ -128,35 +110,43 @@ impl Client {
         Ok(())
     }
 
-    fn send(&mut self, req: &Request) -> Result<u64, ServeError> {
-        self.send_traced(req, None)
-    }
-
-    fn send_traced(&mut self, req: &Request, trace: Option<&TraceContext>) -> Result<u64, ServeError> {
+    fn send(&mut self, req: &Request, trace: Option<&TraceContext>) -> Result<u64, ServeError> {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
         write_frame(&mut self.stream, &encode_request_traced(id, req, trace))?;
         Ok(id)
     }
 
-    /// Read the next response frame addressed to `id`, stashing any v6
-    /// span-summary trailer for [`Self::last_summary`].
+    /// Read the next response frame addressed to `id`. An `Error` under
+    /// request id 0 is the node refusing the connection itself (connection
+    /// limit, unframeable input): it answers whatever is in flight.
     fn recv_for(&mut self, id: u64) -> Result<Response, ServeError> {
         loop {
-            let (rid, resp, summary) = read_response_traced(&mut self.stream)?;
-            // A strictly serial client only ever has one request in
-            // flight; frames for other ids would be a server bug.
-            if rid == id {
-                if summary.is_some() {
-                    self.last_summary = summary;
+            match read_response(&mut self.stream)? {
+                (rid, resp) if rid == id => return Ok(resp),
+                (
+                    0,
+                    Response::Error {
+                        code,
+                        message,
+                        retry_after_ms,
+                    },
+                ) => {
+                    return Err(ServeError::Refused {
+                        code,
+                        message,
+                        retry_after_ms,
+                    })
                 }
-                return Ok(resp);
+                // A strictly serial client only ever has one request in
+                // flight; frames for other ids would be a server bug.
+                _ => {}
             }
         }
     }
 
     fn roundtrip(&mut self, req: &Request) -> Result<Response, ServeError> {
-        let id = self.send(req)?;
+        let id = self.send(req, None)?;
         self.recv_for(id)
     }
 
@@ -168,15 +158,7 @@ impl Client {
         }
     }
 
-    /// Service counters.
-    pub fn stats(&mut self) -> Result<StatsPayload, ServeError> {
-        match self.roundtrip(&Request::Stats)? {
-            Response::StatsOk(s) => Ok(s),
-            _ => Err(ServeError::Unexpected("non-stats reply to stats")),
-        }
-    }
-
-    /// Shard identity of the server (v5+): map epoch/index/count, grid
+    /// Shard identity of the server: map epoch/index/count, grid
     /// pitch and store sizes. A coordinator validates every backend with
     /// this before routing to it.
     pub fn shard_info(&mut self) -> Result<ShardInfoPayload, ServeError> {
@@ -186,48 +168,25 @@ impl Client {
         }
     }
 
-    /// Extended stats: service counters plus the engine's cumulative time
-    /// breakdown (v3+); answered inline even under overload.
-    pub fn stats_ex(&mut self) -> Result<StatsExPayload, ServeError> {
-        match self.roundtrip(&Request::StatsEx)? {
-            Response::StatsExOk(s) => Ok(s),
-            _ => Err(ServeError::Unexpected("non-stats reply to stats-ex")),
-        }
-    }
-
-    /// The server's metrics registry as Prometheus text exposition;
-    /// answered inline even when the server is overloaded (v2+).
-    pub fn metrics(&mut self) -> Result<String, ServeError> {
+    /// The server's metrics as a snapshot: an engine's own registry, or a
+    /// coordinator's federated cluster view. Histograms carry full bucket
+    /// images, so snapshots merge exactly; render text with
+    /// [`tripro::obs::render_snapshots`]. Answered inline even when the
+    /// server is overloaded.
+    pub fn metrics(&mut self) -> Result<Vec<MetricSnapshot>, ServeError> {
         match self.roundtrip(&Request::Metrics)? {
-            Response::MetricsOk { text } => Ok(text),
+            Response::MetricsOk(snaps) => Ok(snaps),
             _ => Err(ServeError::Unexpected("non-metrics reply to metrics")),
         }
     }
 
-    /// The server's metrics registry as a binary snapshot (v6+):
-    /// histograms carry full bucket images, so a coordinator can merge
-    /// scrapes from many nodes exactly.
-    pub fn metrics_bin(&mut self) -> Result<Vec<MetricSnapshot>, ServeError> {
-        match self.roundtrip(&Request::MetricsBin)? {
-            Response::MetricsBinOk(snaps) => Ok(snaps),
-            _ => Err(ServeError::Unexpected("non-metrics reply to metrics-bin")),
-        }
-    }
-
-    /// The server's rendered slow-trace log (v6+); on a coordinator this
-    /// is the stitched cluster waterfall.
+    /// The server's rendered slow-trace log; on a coordinator this is the
+    /// stitched cluster waterfall.
     pub fn trace_log(&mut self) -> Result<String, ServeError> {
         match self.roundtrip(&Request::TraceLog)? {
             Response::TraceLogOk { text } => Ok(text),
             _ => Err(ServeError::Unexpected("non-trace reply to trace-log")),
         }
-    }
-
-    /// Span summary from the final page of the most recent traced query
-    /// (v6+), when the server attached one. Reset at the start of every
-    /// query.
-    pub fn last_summary(&self) -> Option<&SpanSummary> {
-        self.last_summary.as_ref()
     }
 
     /// Ask the server to drain and exit. The server acknowledges before it
@@ -244,17 +203,17 @@ impl Client {
     /// Accepts only query kinds (`Contains`/`Intersect`/`Within`/`Nn`/
     /// `Knn`); probe kinds have dedicated methods above.
     pub fn query(&mut self, req: &Request) -> Result<QueryReply, ServeError> {
-        self.query_traced(req, None)
+        Ok(self.query_traced(req, None)?.0)
     }
 
-    /// [`Self::query`] with a v6 [`TraceContext`] attached: the server
+    /// [`Self::query`] with a [`TraceContext`] attached: the server
     /// executes under the propagated trace id and, when `sampled`, ships
-    /// a span summary back (readable via [`Self::last_summary`]).
+    /// a span summary back on the final page — returned with the reply.
     pub fn query_traced(
         &mut self,
         req: &Request,
         trace: Option<&TraceContext>,
-    ) -> Result<QueryReply, ServeError> {
+    ) -> Result<(QueryReply, Option<SpanSummary>), ServeError> {
         match req {
             Request::Contains { .. }
             | Request::Intersect { .. }
@@ -265,36 +224,43 @@ impl Client {
             | Request::KnnEx { .. } => {}
             _ => return Err(ServeError::Unexpected("query() needs a query request")),
         }
-        self.last_summary = None;
-        let id = self.send_traced(req, trace)?;
+        let id = self.send(req, trace)?;
         let mut out: Vec<u32> = Vec::new();
         let mut scored: Vec<(u32, f64)> = Vec::new();
         let mut any_partial = false;
         loop {
             match self.recv_for(id)? {
-                Response::Page { last, ids, partial } => {
+                Response::Page {
+                    last,
+                    ids,
+                    partial,
+                    summary,
+                } => {
                     out.extend_from_slice(&ids);
                     any_partial |= partial;
                     if last {
-                        return Ok(if any_partial {
+                        let reply = if any_partial {
                             QueryReply::PartialIds(out)
                         } else {
                             QueryReply::Ids(out)
-                        });
+                        };
+                        return Ok((reply, summary));
                     }
                 }
                 Response::PageD {
                     last,
                     partial,
                     items,
+                    summary,
                 } => {
                     scored.extend_from_slice(&items);
                     any_partial |= partial;
                     if last {
-                        return Ok(QueryReply::Scored {
+                        let reply = QueryReply::Scored {
                             items: scored,
                             partial: any_partial,
-                        });
+                        };
+                        return Ok((reply, summary));
                     }
                 }
                 Response::Error {
@@ -302,11 +268,12 @@ impl Client {
                     message,
                     retry_after_ms,
                 } => {
-                    return Ok(QueryReply::Error {
+                    let reply = QueryReply::Error {
                         code,
                         message,
                         retry_after_ms,
-                    });
+                    };
+                    return Ok((reply, None));
                 }
                 _ => return Err(ServeError::Unexpected("non-page reply to query")),
             }
@@ -357,16 +324,22 @@ pub struct RetryOutcome {
     pub backoff: Duration,
 }
 
-/// Whether an error is worth retrying: the request may succeed on a fresh
-/// attempt (overload passes, connections re-establish). Protocol-level
-/// rejections (`BadRequest`, `UnsupportedVersion`), server-side failures
-/// (`Internal`) and expired deadlines are terminal — retrying them repeats
-/// the same answer, only later.
-fn is_transient_transport(e: &ServeError) -> bool {
-    matches!(
-        e,
-        ServeError::Io(_) | ServeError::Wire(WireError::Closed | WireError::Io(_))
-    )
+/// Whether an error is worth retrying — the request may succeed on a fresh
+/// attempt (overload passes, connections re-establish) — and if so the
+/// server's backoff hint. Protocol-level rejections (`BadRequest`,
+/// `UnsupportedVersion`), server-side failures (`Internal`) and expired
+/// deadlines are terminal: retrying them repeats the same answer, only
+/// later.
+fn transient(e: &ServeError) -> Option<u32> {
+    match e {
+        ServeError::Io(_) | ServeError::Wire(WireError::Closed | WireError::Io(_)) => Some(0),
+        ServeError::Refused {
+            code: ErrorCode::Overloaded,
+            retry_after_ms,
+            ..
+        } => Some(*retry_after_ms),
+        _ => None,
+    }
 }
 
 /// A [`Client`] wrapper that classifies failures, retries transient ones
@@ -410,13 +383,22 @@ impl RetryingClient {
             conn: None,
             rng,
         };
-        c.ensure_conn()?;
-        Ok(c)
-    }
-
-    /// The policy this client retries under.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
+        // A node at its connection limit refuses with `Overloaded`: wait it
+        // out under the same budget and backoff as a shed query.
+        let mut outcome = RetryOutcome::default();
+        loop {
+            match c.ensure_conn().map(drop) {
+                Err(ServeError::Refused {
+                    code: ErrorCode::Overloaded,
+                    retry_after_ms,
+                    ..
+                }) if outcome.retries < c.policy.max_retries => {
+                    c.sleep_backoff(outcome.retries, retry_after_ms, &mut outcome);
+                    outcome.retries += 1;
+                }
+                result => return result.map(|()| c),
+            }
+        }
     }
 
     fn ensure_conn(&mut self) -> Result<&mut Client, ServeError> {
@@ -463,19 +445,21 @@ impl RetryingClient {
     /// * Everything else — including `Internal` and `DeadlineExceeded`
     ///   replies — is returned as-is, immediately.
     pub fn query(&mut self, req: &Request) -> Result<(QueryReply, RetryOutcome), ServeError> {
-        self.query_traced(req, None)
+        let (reply, _, outcome) = self.query_traced(req, None)?;
+        Ok((reply, outcome))
     }
 
-    /// [`Self::query`] with a v6 [`TraceContext`] propagated on every
-    /// attempt. All attempts carry the SAME trace id, and each one is
-    /// tagged with its 0-based attempt index via a `retry_attempt` span,
-    /// so a retried request renders as one waterfall in the slow log —
-    /// never as disconnected fragments.
+    /// [`Self::query`] with a [`TraceContext`] propagated on every
+    /// attempt, returning the final attempt's span summary with the reply.
+    /// All attempts carry the SAME trace id, and each one is tagged with
+    /// its 0-based attempt index via a `retry_attempt` span, so a retried
+    /// request renders as one waterfall in the slow log — never as
+    /// disconnected fragments.
     pub fn query_traced(
         &mut self,
         req: &Request,
         trace: Option<&TraceContext>,
-    ) -> Result<(QueryReply, RetryOutcome), ServeError> {
+    ) -> Result<(QueryReply, Option<SpanSummary>, RetryOutcome), ServeError> {
         let mut outcome = RetryOutcome::default();
         loop {
             outcome.attempts += 1;
@@ -493,27 +477,33 @@ impl RetryingClient {
                 Err(e) => Err(e),
             };
             match result {
-                Ok(QueryReply::Error {
-                    code: ErrorCode::Overloaded,
-                    retry_after_ms,
-                    ..
-                }) if retry < self.policy.max_retries => {
+                Ok((
+                    QueryReply::Error {
+                        code: ErrorCode::Overloaded,
+                        retry_after_ms,
+                        ..
+                    },
+                    _,
+                )) if retry < self.policy.max_retries => {
                     outcome.retries += 1;
                     self.sleep_backoff(retry, retry_after_ms, &mut outcome);
                 }
-                Ok(reply) => {
+                Ok((reply, summary)) => {
                     self.observe(&outcome);
-                    return Ok((reply, outcome));
+                    return Ok((reply, summary, outcome));
                 }
-                Err(e) if is_transient_transport(&e) && retry < self.policy.max_retries => {
-                    // The connection is in an unknown state (possibly a
-                    // half-read frame): drop it and reconnect next attempt.
-                    self.conn = None;
-                    outcome.retries += 1;
-                    outcome.reconnects += 1;
-                    self.sleep_backoff(retry, 0, &mut outcome);
-                }
-                Err(e) => return Err(e),
+                Err(e) => match transient(&e) {
+                    Some(hint) if retry < self.policy.max_retries => {
+                        // The connection is in an unknown state (possibly a
+                        // half-read frame): drop it and reconnect next
+                        // attempt.
+                        self.conn = None;
+                        outcome.retries += 1;
+                        outcome.reconnects += 1;
+                        self.sleep_backoff(retry, hint, &mut outcome);
+                    }
+                    _ => return Err(e),
+                },
             }
         }
     }
@@ -523,15 +513,9 @@ impl RetryingClient {
         obs::retry_backoff_histogram().record_duration(outcome.backoff);
     }
 
-    /// Access the underlying connection for probe calls (`stats`,
+    /// Access the underlying connection for probe calls (`shard_info`,
     /// `metrics`, `shutdown_server`...), reconnecting first if needed.
     pub fn raw(&mut self) -> Result<&mut Client, ServeError> {
         self.ensure_conn()
-    }
-
-    /// Span summary from the most recent traced query's final page, when
-    /// the server attached one (v6+).
-    pub fn last_summary(&self) -> Option<&SpanSummary> {
-        self.conn.as_ref().and_then(Client::last_summary)
     }
 }

@@ -10,6 +10,10 @@
 //! the substrate a long-lived service needs. This crate adds the request
 //! lifecycle around it:
 //!
+//! * **One node skeleton** (`node`): accept, framing, inline probes,
+//!   validation, panic containment, the outcome ledger and drain/shutdown
+//!   are written once; the shard engine ([`server`]) and the scatter-gather
+//!   coordinator ([`coordinator`]) are its two handlers.
 //! * **Admission control** ([`server`]): a bounded queue plus an in-flight
 //!   cap; excess requests receive an explicit `Overloaded` response instead
 //!   of piling up unboundedly.
@@ -26,6 +30,7 @@
 
 pub mod client;
 pub mod coordinator;
+mod node;
 pub mod protocol;
 pub mod server;
 pub mod shard;
@@ -33,8 +38,7 @@ pub mod shard;
 pub use client::{Client, QueryReply, RetryOutcome, RetryPolicy, RetryingClient};
 pub use coordinator::{Coordinator, CoordinatorConfig};
 pub use protocol::{
-    ErrorCode, NodeRole, Request, Response, ShardInfoPayload, StatsExPayload, StatsPayload,
-    TraceContext, WireError,
+    ErrorCode, NodeRole, Request, Response, ShardInfoPayload, TraceContext, WireError,
 };
 pub use server::{ServeConfig, Server};
 pub use shard::{partition_source, ShardMap, ShardView};
@@ -49,6 +53,14 @@ pub enum ServeError {
     /// The peer answered with a frame that makes no sense in this state
     /// (e.g. a result page for a health probe).
     Unexpected(&'static str),
+    /// The node refused the connection itself with a typed error — at its
+    /// connection limit (`Overloaded`, with a backoff hint), on a protocol
+    /// version mismatch, or on unframeable input.
+    Refused {
+        code: ErrorCode,
+        message: String,
+        retry_after_ms: u32,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -57,6 +69,9 @@ impl std::fmt::Display for ServeError {
             ServeError::Io(e) => write!(f, "i/o error: {e}"),
             ServeError::Wire(e) => write!(f, "wire error: {e}"),
             ServeError::Unexpected(what) => write!(f, "unexpected response: {what}"),
+            ServeError::Refused { code, message, .. } => {
+                write!(f, "connection refused ({code:?}): {message}")
+            }
         }
     }
 }
@@ -66,7 +81,7 @@ impl std::error::Error for ServeError {
         match self {
             ServeError::Io(e) => Some(e),
             ServeError::Wire(e) => Some(e),
-            ServeError::Unexpected(_) => None,
+            ServeError::Unexpected(_) | ServeError::Refused { .. } => None,
         }
     }
 }

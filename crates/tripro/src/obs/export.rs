@@ -36,89 +36,33 @@ fn seconds(ns: u64) -> f64 {
     ns as f64 / 1e9
 }
 
-fn sample_name(name: &str, suffix: &str, labels: &str, extra: Option<(&str, &str)>) -> String {
-    let mut out = String::new();
-    out.push_str(name);
-    out.push_str(suffix);
-    let extra_s = extra.map(|(k, v)| format!("{k}=\"{v}\""));
-    match (labels.is_empty(), extra_s) {
-        (true, None) => {}
-        (true, Some(e)) => {
-            let _ = write!(out, "{{{e}}}");
-        }
-        (false, None) => {
-            let _ = write!(out, "{{{labels}}}");
-        }
-        (false, Some(e)) => {
-            let _ = write!(out, "{{{labels},{e}}}");
-        }
+/// `name_suffix{labels,le="…"}`, braces only when there is a label.
+fn sample_name(name: &str, suffix: &str, labels: &str, le: Option<&str>) -> String {
+    let le = le.map(|v| format!("le=\"{v}\""));
+    let all: Vec<&str> = [labels, le.as_deref().unwrap_or("")]
+        .into_iter()
+        .filter(|l| !l.is_empty())
+        .collect();
+    if all.is_empty() {
+        format!("{name}{suffix}")
+    } else {
+        format!("{name}{suffix}{{{}}}", all.join(","))
     }
-    out
 }
 
 fn render_histogram(out: &mut String, name: &str, labels: &str, h: &Histogram) {
     for &bound in LE_LADDER_NS {
         let le = format!("{}", seconds(bound));
-        let _ = writeln!(
-            out,
-            "{} {}",
-            sample_name(name, "_bucket", labels, Some(("le", &le))),
-            h.count_le(bound)
-        );
+        let sample = sample_name(name, "_bucket", labels, Some(&le));
+        let _ = writeln!(out, "{sample} {}", h.count_le(bound));
     }
-    let _ = writeln!(
-        out,
-        "{} {}",
-        sample_name(name, "_bucket", labels, Some(("le", "+Inf"))),
-        h.count()
-    );
-    let _ = writeln!(
-        out,
-        "{} {}",
-        sample_name(name, "_sum", labels, None),
-        seconds(h.sum())
-    );
-    let _ = writeln!(
-        out,
-        "{} {}",
-        sample_name(name, "_count", labels, None),
-        h.count()
-    );
+    let inf = sample_name(name, "_bucket", labels, Some("+Inf"));
+    let _ = writeln!(out, "{inf} {}", h.count());
+    let sum = sample_name(name, "_sum", labels, None);
+    let _ = writeln!(out, "{sum} {}", seconds(h.sum()));
+    let count = sample_name(name, "_count", labels, None);
+    let _ = writeln!(out, "{count} {}", h.count());
 }
-
-/// Render every metric in `reg` as Prometheus text exposition
-/// (`text/plain; version=0.0.4`). Output is deterministic: families and
-/// series appear in sorted name/label order.
-#[must_use]
-pub fn render_prometheus(reg: &MetricsRegistry) -> String {
-    let mut out = String::new();
-    for fam in reg.families() {
-        let kind = fam
-            .samples
-            .first()
-            .map_or("counter", |(_, m)| m.type_name());
-        let _ = writeln!(out, "# HELP {} {}", fam.name, fam.help);
-        let _ = writeln!(out, "# TYPE {} {}", fam.name, kind);
-        for (labels, metric) in &fam.samples {
-            match metric {
-                Metric::Counter(c) => {
-                    let _ = writeln!(
-                        out,
-                        "{} {}",
-                        sample_name(fam.name, "", labels, None),
-                        c.load(Ordering::Relaxed)
-                    );
-                }
-                Metric::Histogram(h) => render_histogram(&mut out, fam.name, labels, h),
-            }
-        }
-    }
-    out
-}
-
-/// Node-label value of the exact-merged cluster aggregate series in a
-/// federated exposition.
-pub const CLUSTER_NODE: &str = "cluster";
 
 /// Plain-data value of one series: the wire-transferable form.
 #[derive(Debug, Clone, PartialEq)]
@@ -144,11 +88,9 @@ pub struct MetricSnapshot {
     pub value: MetricValue,
 }
 
-/// One node's scrape: the `node` label value plus every series it exported.
-pub type NodeSnapshot = (String, Vec<MetricSnapshot>);
-
-/// Snapshot every registered series as plain data — the scrape side of
-/// metrics federation (shipped over the wire as a `MetricsBin` reply).
+/// Snapshot every registered series as plain data — what a node answers a
+/// `Metrics` frame with. Families and series appear in sorted name/label
+/// order.
 #[must_use]
 pub fn snapshot_registry(reg: &MetricsRegistry) -> Vec<MetricSnapshot> {
     let mut out = Vec::new();
@@ -168,6 +110,52 @@ pub fn snapshot_registry(reg: &MetricsRegistry) -> Vec<MetricSnapshot> {
     out
 }
 
+/// Render series as Prometheus text exposition (`text/plain;
+/// version=0.0.4`) — the one renderer, whether the snapshot is a local
+/// registry's, a node's `Metrics` reply or a [`federate`]d cluster view.
+/// Families are grouped by name (series keep their order within one) and
+/// declared once; a series whose type disagrees with its family's first
+/// series is skipped rather than corrupting the family.
+#[must_use]
+pub fn render_snapshots(snaps: &[MetricSnapshot]) -> String {
+    let mut series: Vec<&MetricSnapshot> = snaps.iter().collect();
+    series.sort_by(|a, b| a.name.cmp(&b.name));
+    let mut out = String::new();
+    let mut family: Option<&MetricSnapshot> = None;
+    for s in series {
+        let first = match family {
+            Some(f) if f.name == s.name => f,
+            _ => {
+                let kind = match s.value {
+                    MetricValue::Counter(_) => "counter",
+                    MetricValue::Histogram(_) => "histogram",
+                };
+                let _ = writeln!(out, "# HELP {} {}", s.name, s.help);
+                let _ = writeln!(out, "# TYPE {} {kind}", s.name);
+                family = Some(s);
+                s
+            }
+        };
+        match (&s.value, &first.value) {
+            (MetricValue::Counter(v), MetricValue::Counter(_)) => {
+                let _ = writeln!(out, "{} {v}", sample_name(&s.name, "", &s.labels, None));
+            }
+            (MetricValue::Histogram(h), MetricValue::Histogram(_)) => {
+                render_histogram(&mut out, &s.name, &s.labels, &h.to_histogram());
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// Node-label value of the exact-merged cluster aggregate series in a
+/// federated snapshot.
+pub const CLUSTER_NODE: &str = "cluster";
+
+/// One node's scrape: the `node` label value plus every series it exported.
+pub type NodeSnapshot = (String, Vec<MetricSnapshot>);
+
 fn with_node_label(labels: &str, node: &str) -> String {
     let node_label = render_labels(&[("node", node)]);
     if labels.is_empty() {
@@ -177,87 +165,78 @@ fn with_node_label(labels: &str, node: &str) -> String {
     }
 }
 
-enum Agg {
-    Counter(u64),
-    Histogram(Histogram),
-}
-
-/// Render a cluster-wide exposition from per-node scrapes. Every series
-/// gains a `node` label; per base label set, an exact aggregate series is
-/// emitted first with `node="cluster"` — counters by integer addition,
-/// histograms by lossless bucket merge ([`Histogram::merge_snapshot`]),
-/// so aggregate counts equal the sum of the per-node counts *exactly*.
-/// Each family keeps a single `# HELP`/`# TYPE` declaration; a series
-/// whose type disagrees with the family's first-seen type is skipped
-/// rather than corrupting the family.
+/// Merge per-node scrapes into one cluster-wide snapshot. Every series
+/// gains a `node` label; per family and base label set, an exact aggregate
+/// series comes first with `node="cluster"` — counters by integer
+/// addition, histograms by lossless bucket merge
+/// ([`Histogram::merge_snapshot`]), so aggregate counts equal the sum of
+/// the per-node counts *exactly*. A series whose type disagrees with the
+/// family's first-seen type is dropped.
 #[must_use]
-pub fn render_federated(nodes: &[NodeSnapshot]) -> String {
+pub fn federate(nodes: &[NodeSnapshot]) -> Vec<MetricSnapshot> {
     use std::collections::BTreeMap;
-    struct Fam {
-        help: String,
+    enum Agg {
+        Counter(u64),
+        Histogram(Histogram),
+    }
+    struct Fam<'a> {
+        help: &'a str,
         is_hist: bool,
         /// base labels -> exact cross-node aggregate
-        agg: BTreeMap<String, Agg>,
+        agg: BTreeMap<&'a str, Agg>,
         /// (base labels, node) -> as-scraped value
-        series: BTreeMap<(String, String), MetricValue>,
+        series: BTreeMap<(&'a str, &'a str), &'a MetricValue>,
     }
-    let mut fams: BTreeMap<String, Fam> = BTreeMap::new();
+    let mut fams: BTreeMap<&str, Fam<'_>> = BTreeMap::new();
     for (node, snaps) in nodes {
         for s in snaps {
-            let fam = fams.entry(s.name.clone()).or_insert_with(|| Fam {
-                help: s.help.clone(),
-                is_hist: matches!(s.value, MetricValue::Histogram(_)),
+            let is_hist = matches!(s.value, MetricValue::Histogram(_));
+            let fam = fams.entry(&s.name).or_insert_with(|| Fam {
+                help: &s.help,
+                is_hist,
                 agg: BTreeMap::new(),
                 series: BTreeMap::new(),
             });
-            if fam.is_hist != matches!(s.value, MetricValue::Histogram(_)) {
+            if fam.is_hist != is_hist {
                 continue;
             }
+            let slot = fam.agg.entry(&s.labels);
             match &s.value {
                 MetricValue::Counter(v) => {
-                    let slot = fam.agg.entry(s.labels.clone()).or_insert(Agg::Counter(0));
-                    if let Agg::Counter(acc) = slot {
+                    if let Agg::Counter(acc) = slot.or_insert(Agg::Counter(0)) {
                         *acc = acc.saturating_add(*v);
                     }
                 }
                 MetricValue::Histogram(hs) => {
-                    let slot = fam
-                        .agg
-                        .entry(s.labels.clone())
-                        .or_insert_with(|| Agg::Histogram(Histogram::new()));
-                    if let Agg::Histogram(acc) = slot {
+                    if let Agg::Histogram(acc) =
+                        slot.or_insert_with(|| Agg::Histogram(Histogram::new()))
+                    {
                         acc.merge_snapshot(hs);
                     }
                 }
             }
-            fam.series
-                .insert((s.labels.clone(), node.clone()), s.value.clone());
+            fam.series.insert((&s.labels, node), &s.value);
         }
     }
-    let mut out = String::new();
-    for (name, fam) in &fams {
-        let kind = if fam.is_hist { "histogram" } else { "counter" };
-        let _ = writeln!(out, "# HELP {name} {}", fam.help);
-        let _ = writeln!(out, "# TYPE {name} {kind}");
+    let mut out = Vec::new();
+    for (name, fam) in fams {
+        let mut push = |labels: &str, node: &str, value: MetricValue| {
+            out.push(MetricSnapshot {
+                name: name.to_string(),
+                labels: with_node_label(labels, node),
+                help: fam.help.to_string(),
+                value,
+            });
+        };
         for (labels, agg) in &fam.agg {
-            let lbl = with_node_label(labels, CLUSTER_NODE);
-            match agg {
-                Agg::Counter(v) => {
-                    let _ = writeln!(out, "{} {v}", sample_name(name, "", &lbl, None));
-                }
-                Agg::Histogram(h) => render_histogram(&mut out, name, &lbl, h),
-            }
+            let value = match agg {
+                Agg::Counter(v) => MetricValue::Counter(*v),
+                Agg::Histogram(h) => MetricValue::Histogram(h.snapshot()),
+            };
+            push(labels, CLUSTER_NODE, value);
         }
         for ((labels, node), value) in &fam.series {
-            let lbl = with_node_label(labels, node);
-            match value {
-                MetricValue::Counter(v) => {
-                    let _ = writeln!(out, "{} {v}", sample_name(name, "", &lbl, None));
-                }
-                MetricValue::Histogram(hs) => {
-                    render_histogram(&mut out, name, &lbl, &hs.to_histogram());
-                }
-            }
+            push(labels, node, (*value).clone());
         }
     }
     out
@@ -389,7 +368,7 @@ mod tests {
 
     #[test]
     fn rendered_output_validates() {
-        let text = render_prometheus(&populated());
+        let text = render_snapshots(&snapshot_registry(&populated()));
         assert!(text.contains("# TYPE tripro_cache_hits_total counter"));
         assert!(text.contains("tripro_cache_hits_total{shard=\"0\"} 41"));
         assert!(text.contains("# TYPE tripro_query_latency_seconds histogram"));
@@ -400,7 +379,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_cumulative_in_seconds() {
-        let text = render_prometheus(&populated());
+        let text = render_snapshots(&snapshot_registry(&populated()));
         // 3ms lands under le=0.005; 700ms only under le=1 and above.
         let line = text
             .lines()
@@ -477,7 +456,7 @@ mod tests {
             ("shard1".to_string(), snapshot_registry(&populated())),
             ("coordinator".to_string(), Vec::new()),
         ];
-        let text = render_federated(&nodes);
+        let text = render_snapshots(&federate(&nodes));
         validate_exposition(&text).expect("federated exposition validates");
         // One declaration per family, node labels on every series.
         assert_eq!(text.matches("# TYPE tripro_cache_hits_total").count(), 1);

@@ -24,7 +24,7 @@ pub mod registry;
 pub mod trace;
 
 pub use export::{
-    render_federated, render_prometheus, snapshot_registry, validate_exposition, MetricSnapshot,
+    federate, render_snapshots, snapshot_registry, validate_exposition, MetricSnapshot,
     MetricValue, NodeSnapshot, CLUSTER_NODE,
 };
 pub use histogram::{Histogram, HistogramSnapshot};
@@ -41,7 +41,7 @@ use std::sync::{Arc, OnceLock};
 /// Render the global registry as Prometheus text exposition.
 #[must_use]
 pub fn render_global() -> String {
-    render_prometheus(registry::global())
+    render_snapshots(&snapshot_registry(registry::global()))
 }
 
 /// The process-wide [`MetricsRegistry`].
@@ -261,7 +261,7 @@ pub fn request_outcome_counter(outcome: &str) -> Arc<AtomicU64> {
 /// [`Error::Internal`](crate::Error::Internal) instead of unwinding the
 /// process; this counter is the audit trail that containment fired.
 #[must_use]
-pub fn panic_counter(context: &'static str) -> Arc<AtomicU64> {
+pub fn panic_counter(context: &str) -> Arc<AtomicU64> {
     registry().counter(
         "tripro_panics_total",
         "Panics caught and contained, by containment boundary.",

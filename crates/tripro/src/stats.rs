@@ -98,8 +98,8 @@ impl ExecStats {
 
     /// Fold a snapshot into this accumulator. Used by the serve layer to
     /// account a per-request `ExecStats` (needed for exact per-query cost
-    /// attribution) back into the long-lived aggregate, so `StatsEx`
-    /// totals are unchanged by whether a request was traced.
+    /// attribution) back into the long-lived aggregate, so the totals
+    /// are unchanged by whether a request was traced.
     pub fn merge_from(&self, s: &StatsSnapshot) {
         self.filter_ns.fetch_add(s.filter_ns, Ordering::Relaxed);
         self.decode_ns.fetch_add(s.decode_ns, Ordering::Relaxed);

@@ -228,13 +228,16 @@ mod tests {
 
     #[test]
     fn fault_and_panic_path_modules_are_fully_linted() {
-        // The failpoint registry and the serve fault/retry paths are the
-        // code that runs *during* injected failures — precisely when a
+        // The failpoint registry and the serve fault/retry paths (the node
+        // skeleton carries the read/write failpoints, the containment
+        // boundaries and the rank-10/20/30 locks for both node kinds) are
+        // the code that runs *during* injected failures — precisely when a
         // stray unwrap or mis-ranked lock would turn an injected fault
         // into a real outage. Pin them into the no-panic set and the full
         // concurrency battery so they cannot silently drop out.
         for file in [
             "crates/tripro/src/fault.rs",
+            "crates/serve/src/node.rs",
             "crates/serve/src/server.rs",
             "crates/serve/src/client.rs",
             "crates/serve/src/coordinator.rs",

@@ -2,8 +2,8 @@
 # Smoke test for the tripro-serve query service: build a tiny synthetic
 # dataset, serve it, drive it with the tripro-load generator (which exits
 # nonzero on any protocol or transport error), and shut the server down
-# over the wire. Leaves target/harness/BENCH_serve.json for artifact
-# upload.
+# over the wire. tripro-load leaves its tally in
+# target/harness/BENCH_serve.json.
 #
 # Usage: scripts/smoke_serve.sh [addr]
 set -euo pipefail
@@ -30,7 +30,7 @@ echo "[smoke_serve] starting server on $ADDR"
 SERVER_PID=$!
 trap 'kill "$SERVER_PID" 2>/dev/null || true' EXIT
 
-# Wait for the listener to come up (tripro-load's stats probe would also
+# Wait for the listener to come up (tripro-load's shard-info probe would also
 # fail fast, but retrying here keeps the failure mode clear).
 for _ in $(seq 1 50); do
     if (exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR#*:}") 2>/dev/null; then
@@ -43,10 +43,10 @@ done
 echo "[smoke_serve] closed-loop mixed workload"
 "$BIN/tripro-load" --addr "$ADDR" --clients 4 --requests 50
 
-echo "[smoke_serve] scraping the Metrics frame (v2) and validating the exposition"
+echo "[smoke_serve] scraping the Metrics frame and validating the exposition"
 METRICS="$WORK/metrics.txt"
-# --check validates the Prometheus text format server-side output and
-# exits nonzero on malformed exposition, failing the smoke test.
+# --check validates the Prometheus text rendered from the node's snapshot
+# and exits nonzero on malformed exposition, failing the smoke test.
 "$BIN/tripro" metrics --addr "$ADDR" --check > "$METRICS"
 test -s "$METRICS"
 grep -q '^# TYPE tripro_query_latency_seconds histogram$' "$METRICS"

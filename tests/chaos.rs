@@ -142,12 +142,13 @@ fn start_server() -> Server {
     .expect("start server")
 }
 
-/// Poll until the admission ledger balances; panics (with the snapshot)
-/// if it never does — that means a response path leaked a request.
-fn await_balanced_ledger(server: &Server, context: &str) {
+/// Poll until a node's admission ledger balances; panics (with the
+/// snapshot) if it never does — that means a response path leaked a
+/// request. Servers and coordinators keep the same ledger.
+fn await_balanced(stats: impl Fn() -> tripro::ServiceSnapshot, context: &str) {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let s = server.stats();
+        let s = stats();
         let accounted = s.completed + s.deadline_expired + s.failed;
         if s.admitted == accounted {
             return;
@@ -159,6 +160,10 @@ fn await_balanced_ledger(server: &Server, context: &str) {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+fn await_balanced_ledger(server: &Server, context: &str) {
+    await_balanced(|| server.stats(), context);
 }
 
 /// Prove the process-wide pool still has all its workers: a fresh
@@ -463,23 +468,8 @@ fn start_cluster() -> (Arc<ObjectStore>, Vec<Server>, Coordinator) {
     (target, shards, coord)
 }
 
-/// Poll until the coordinator's admission ledger balances.
 fn await_balanced_coordinator(coord: &Coordinator, context: &str) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let s = coord.stats();
-        let accounted = s.completed + s.deadline_expired + s.failed;
-        if s.admitted == accounted {
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "{context}: coordinator ledger never balanced: admitted {} vs accounted \
-             {accounted} ({s:?})",
-            s.admitted
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    await_balanced(|| coord.stats(), &format!("{context} (coordinator)"));
 }
 
 /// Disconnect-mid-join chaos for the sharded tier: with `serve.read` and

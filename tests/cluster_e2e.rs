@@ -122,12 +122,14 @@ fn request_matrix(target: &ObjectStore) -> Vec<Request> {
     reqs
 }
 
-/// The property test: across seeded stores, a 3-shard scatter-gather
-/// cluster answers every join kind byte-identically to a single engine
-/// serving the unpartitioned stores.
+/// The property test: across seeded stores, a scatter-gather cluster
+/// answers every join kind byte-identically to a single engine serving the
+/// unpartitioned stores — at three shards (replication, dedup, merge) and
+/// at one, where the coordinator is a pass-through and its replies must
+/// equal the bare server's frame for frame.
 #[test]
 fn cluster_matches_single_engine_for_all_join_kinds() {
-    for seed in [0x3D5A_0001u64, 0x3D5A_0002] {
+    for (n_shards, seed) in [(1, 0x3D5A_0001u64), (3, 0x3D5A_0001), (3, 0x3D5A_0002)] {
         let (target, source_objects) = build_stores(seed);
 
         let single = Server::start(
@@ -139,10 +141,11 @@ fn cluster_matches_single_engine_for_all_join_kinds() {
             },
         )
         .expect("start single engine");
-        let cluster = start_cluster(&target, &source_objects, 3, 1);
+        let cluster = start_cluster(&target, &source_objects, n_shards, 1);
 
-        // Boundary replication must actually replicate: the shard-local
-        // counts sum past the global store (and never exceed 3x it).
+        // Boundary replication must actually replicate: past one shard,
+        // the shard-local counts sum past the global store (and never
+        // exceed n x it).
         let mut replicated = 0u64;
         for s in &cluster.shards {
             let mut probe = Client::connect(s.addr()).expect("shard probe");
@@ -151,10 +154,10 @@ fn cluster_matches_single_engine_for_all_join_kinds() {
             replicated += info.source_objects;
         }
         assert!(
-            replicated > source_objects.len() as u64,
+            n_shards == 1 || replicated > source_objects.len() as u64,
             "seed {seed:#x}: no boundary object was replicated — dedup is untested"
         );
-        assert!(replicated <= 3 * source_objects.len() as u64);
+        assert!(replicated <= u64::from(n_shards) * source_objects.len() as u64);
 
         let mut direct = Client::connect(single.addr()).expect("connect single");
         let mut sharded = Client::connect(cluster.coord.addr()).expect("connect coordinator");
@@ -163,12 +166,30 @@ fn cluster_matches_single_engine_for_all_join_kinds() {
             let got = ids_of(sharded.query(&req).expect("cluster query"));
             assert_eq!(
                 got, want,
-                "seed {seed:#x}: cluster diverged from single engine on {req:?}"
+                "{n_shards} shard(s), seed {seed:#x}: cluster diverged from single engine on {req:?}"
             );
+        }
+        if n_shards == 1 {
+            // Same request id on a fresh connection to each: the raw reply
+            // frames must be the same bytes.
+            for req in request_matrix(&target) {
+                let frame = tripro_serve::protocol::encode_request(77, &req);
+                let [want, got] = [single.addr(), cluster.coord.addr()].map(|addr| {
+                    use std::io::{Read, Write};
+                    let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
+                    raw.write_all(&frame).expect("write");
+                    raw.shutdown(std::net::Shutdown::Write).expect("half-close");
+                    let mut bytes = Vec::new();
+                    raw.read_to_end(&mut bytes).expect("read reply");
+                    bytes
+                });
+                assert!(!want.is_empty(), "no reply to {req:?}");
+                assert_eq!(got, want, "one-shard reply bytes diverged on {req:?}");
+            }
         }
 
         // Per-shard scatter metrics must be visible on the coordinator.
-        let text = sharded.metrics().expect("coordinator metrics");
+        let text = tripro::obs::render_snapshots(&sharded.metrics().expect("coordinator metrics"));
         for family in [
             "tripro_shard_fanout",
             "tripro_shard_subquery_seconds",
@@ -192,7 +213,7 @@ fn cluster_matches_single_engine_for_all_join_kinds() {
     }
 }
 
-/// The v6 tentpole, end to end: a traced join through a 3-shard cluster
+/// Cluster tracing, end to end: a traced join through a 3-shard cluster
 /// must land in the coordinator's slow log as ONE stitched waterfall —
 /// a single record, under the client's trace id, with a `shard` child
 /// span for every shard that worked on the query — and the final reply
@@ -219,7 +240,7 @@ fn traced_cluster_query_stitches_one_waterfall_in_coordinator_slow_log() {
     };
     let mut c = Client::connect(cluster.coord.addr()).expect("connect coordinator");
     // A kNN join fans out to every shard.
-    let reply = c
+    let (reply, summary) = c
         .query_traced(
             &Request::Knn {
                 target: 0,
@@ -230,20 +251,30 @@ fn traced_cluster_query_stitches_one_waterfall_in_coordinator_slow_log() {
         )
         .expect("traced cluster query");
     assert!(matches!(reply, QueryReply::Ids(_)), "got {reply:?}");
-    let summary = c.last_summary().copied();
-    obs::tracer().set_enabled(false);
-
     // Exactly one stitched record: the coordinator's. (In-process shard
     // engines share the tracer, so their own records carry the same trace
-    // id — but only the coordinator's contains `shard` spans.)
-    let stitched: Vec<_> = obs::tracer()
-        .slow_log()
-        .into_iter()
-        .filter(|r| {
-            r.trace_id == trace.trace_id
-                && r.spans.iter().any(|s| matches!(s.kind, obs::SpanKind::Shard))
-        })
-        .collect();
+    // id — but only the coordinator's contains `shard` spans.) The
+    // coordinator files its record when its root span closes, which is
+    // after the reply has been written: wait for it before switching the
+    // tracer off, or the close lands on a disabled tracer and files nothing.
+    let find_stitched = || -> Vec<_> {
+        obs::tracer()
+            .slow_log()
+            .into_iter()
+            .filter(|r| {
+                r.trace_id == trace.trace_id
+                    && r.spans
+                        .iter()
+                        .any(|s| matches!(s.kind, obs::SpanKind::Shard))
+            })
+            .collect()
+    };
+    let patience = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    while find_stitched().is_empty() && std::time::Instant::now() < patience {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    obs::tracer().set_enabled(false);
+    let stitched = find_stitched();
     assert_eq!(
         stitched.len(),
         1,
@@ -275,7 +306,7 @@ fn traced_cluster_query_stitches_one_waterfall_in_coordinator_slow_log() {
     assert_eq!(fanout, vec![0, 1, 2], "exemplar fanout incomplete: {ex:?}");
 
     // The aggregated summary reached the client on the final reply page.
-    let summary = summary.expect("v6 reply must carry a span summary");
+    let summary = summary.expect("a sampled reply must carry a span summary");
     assert_eq!(summary.trace_id, trace.trace_id);
 
     obs::tracer().clear_slow_log();
@@ -285,8 +316,8 @@ fn traced_cluster_query_stitches_one_waterfall_in_coordinator_slow_log() {
     }
 }
 
-/// Federated metrics exactness: the coordinator's `Metrics` exposition
-/// scrapes every shard over `MetricsBin` and exact-merges — for every
+/// Federated metrics exactness: the coordinator's `Metrics` snapshot
+/// scrapes every shard's and exact-merges — for every
 /// integer-valued sample (counters, histogram `_count`/`_bucket`), the
 /// `node="cluster"` aggregate equals the sum of the per-node series
 /// bit-for-bit, and the whole document validates.
@@ -302,7 +333,7 @@ fn federated_metrics_aggregate_is_the_exact_sum_of_node_series() {
         let _ = c.query(&req).expect("warm-up query");
     }
 
-    let text = c.metrics().expect("federated metrics");
+    let text = tripro::obs::render_snapshots(&c.metrics().expect("federated metrics"));
     tripro::obs::validate_exposition(&text).expect("federated exposition must validate");
     for node in ["cluster", "coordinator", "shard0", "shard1", "shard2"] {
         assert!(

@@ -7,7 +7,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 use tripro::{Engine, ExecStats, ObjectStore, Paradigm, PointQuery, QueryConfig, StoreConfig};
-use tripro_serve::{Client, ErrorCode, QueryReply, Request, ServeConfig, Server};
+use tripro_serve::{
+    Client, Coordinator, CoordinatorConfig, ErrorCode, QueryReply, Request, RetryPolicy,
+    RetryingClient, ServeConfig, ServeError, Server,
+};
 use tripro_synth::{DatasetConfig, VesselConfig};
 
 fn stores() -> (Arc<ObjectStore>, Arc<ObjectStore>) {
@@ -175,12 +178,12 @@ fn overload_sheds_but_server_stays_responsive() {
     assert!(served > 0, "at least one request must be admitted");
     assert_eq!(shed + served, n_clients, "unexpected outcome: {outcomes:?}");
 
-    // Health and stats probes are answered inline even while the single
+    // Health and metrics probes are answered inline even while the single
     // execution slot is busy.
     let mut probe = Client::connect(addr).expect("connect probe");
     probe.health().expect("health under load");
-    let stats = probe.stats().expect("stats under load");
-    assert!(stats.shed >= shed as u64);
+    probe.metrics().expect("metrics under load");
+    assert!(server.stats().shed >= shed as u64);
     server.shutdown();
 }
 
@@ -318,7 +321,7 @@ fn metrics_frame_returns_valid_exposition() {
         assert!(reply.ids().is_some());
     }
 
-    let text = client.metrics().expect("metrics frame");
+    let text = tripro::obs::render_snapshots(&client.metrics().expect("metrics frame"));
     tripro::obs::validate_exposition(&text).expect("well-formed Prometheus exposition");
     assert!(
         text.contains("tripro_requests_total{outcome=\"admitted\"}"),
@@ -387,5 +390,112 @@ fn remote_shutdown_drains_and_unblocks_wait() {
     }
     client.shutdown_server().expect("shutdown ack");
     server.wait(); // must return now that the server is draining
+    server.shutdown();
+}
+
+/// A connection shed at the accept loop must reach the caller as what it
+/// is — a typed `Overloaded` with a backoff hint, not a reset or a bogus
+/// version refusal — and a retrying client must ride it out.
+#[test]
+fn connection_limit_refusal_is_typed_and_retried() {
+    let (server, _t, _s) = start(ServeConfig {
+        max_connections: 1,
+        ..ServeConfig::default()
+    });
+    let addr = server.addr();
+    let first = Client::connect(addr).expect("first connection fits");
+
+    match Client::connect(addr)
+        .err()
+        .expect("second connection is over the limit")
+    {
+        ServeError::Refused {
+            code,
+            retry_after_ms,
+            ..
+        } => {
+            assert_eq!(code, ErrorCode::Overloaded);
+            assert!(retry_after_ms >= 1, "shed without a backoff hint");
+        }
+        other => panic!("expected a typed Overloaded refusal, got {other:?}"),
+    }
+    assert!(server.stats().shed >= 1);
+
+    // The slot frees shortly after the first client goes away; a retrying
+    // client connecting meanwhile backs off on the hint and gets through.
+    let release = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(60));
+        drop(first);
+    });
+    let policy = RetryPolicy {
+        max_retries: 8,
+        base_backoff: Duration::from_millis(20),
+        ..RetryPolicy::default()
+    };
+    let mut retrying = RetryingClient::connect(addr, policy).expect("retried past the limit");
+    let (reply, _) = retrying
+        .query(&Request::Nn {
+            target: 0,
+            deadline_ms: u32::MAX,
+        })
+        .expect("query");
+    assert!(reply.ids().is_some());
+    release.join().expect("join");
+    drop(retrying);
+    server.shutdown();
+}
+
+/// One wire version: a frame stamped with anything but `VERSION`, or a
+/// `Hello` whose range excludes it, is answered `UnsupportedVersion` — by
+/// a shard engine and by a coordinator alike.
+#[test]
+fn any_other_version_is_refused_by_both_node_kinds() {
+    use std::io::Write;
+    use tripro_serve::protocol::{self, NodeRole, Response, VERSION};
+
+    let (server, target, _s) = start(ServeConfig::default());
+    // A one-shard map over an unsharded engine (which reports epoch 0).
+    let coord = Coordinator::start(
+        target,
+        CoordinatorConfig {
+            shards: vec![server.addr().to_string()],
+            epoch: 0,
+            ..CoordinatorConfig::default()
+        },
+    )
+    .expect("coordinator over one unsharded engine");
+
+    let mut refused = Vec::new();
+    for bad in (0..VERSION).chain([VERSION + 1, u8::MAX]) {
+        let mut frame = protocol::encode_request(9, &Request::Health);
+        frame[6] = bad;
+        refused.push(frame);
+    }
+    for (min_version, max_version) in [(1, VERSION - 1), (VERSION + 1, u8::MAX)] {
+        let role = NodeRole::Client;
+        refused.push(protocol::encode_request(
+            9,
+            &Request::Hello {
+                min_version,
+                max_version,
+                role,
+            },
+        ));
+    }
+    for addr in [server.addr(), coord.addr()] {
+        for frame in &refused {
+            let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
+            raw.write_all(frame).expect("write");
+            match protocol::read_response(&mut raw).expect("typed reply") {
+                (9, Response::Error { code, .. }) => {
+                    assert_eq!(code, ErrorCode::UnsupportedVersion, "{frame:?} at {addr}");
+                }
+                other => panic!("{frame:?} at {addr}: {other:?}"),
+            }
+        }
+    }
+    assert!(server.stats().protocol_errors >= refused.len() as u64);
+    assert!(coord.stats().protocol_errors >= refused.len() as u64);
+    coord.shutdown();
     server.shutdown();
 }
