@@ -228,7 +228,6 @@ fn accel_of(a: &Parsed) -> Result<Accel, CliError> {
         "aabb" => Accel::Aabb,
         "gpu" => Accel::Gpu,
         "partition-gpu" => Accel::PartitionGpu,
-        "obb" => Accel::ObbTree,
         other => return Err(CliError::msg(format!("unknown --accel {other:?}"))),
     })
 }

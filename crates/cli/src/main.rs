@@ -82,7 +82,7 @@ USAGE:
       Run a spatial join between two stores (contains probes only the
       target store). Default paradigm is FPR (progressive); --fr selects
       classical Filter-Refine.
-      A = brute | partition | aabb | gpu | partition-gpu | obb (default: aabb)
+      A = brute | partition | aabb | gpu | partition-gpu (default: aabb)
 
   tripro serve --target DIR --source DIR [--addr HOST:PORT] [--fr] [--accel A]
                [--max-inflight N] [--queue-depth Q] [--max-connections C]

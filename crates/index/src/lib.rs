@@ -5,9 +5,7 @@
 //! faces used by the intra-geometry acceleration (§5.1).
 
 pub mod aabbtree;
-pub mod obbtree;
 pub mod rtree;
 
 pub use aabbtree::AabbTree;
-pub use obbtree::ObbTree;
 pub use rtree::{RTree, TreeStats, WithinResult};

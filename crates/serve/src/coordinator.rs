@@ -89,12 +89,11 @@ pub struct CoordinatorConfig {
 
 impl Default for CoordinatorConfig {
     fn default() -> Self {
-        let par = std::thread::available_parallelism().map_or(4, |n| n.get());
         Self {
             addr: "127.0.0.1:0".to_string(),
             shards: Vec::new(),
             epoch: 1,
-            max_inflight: par.max(1),
+            max_inflight: tripro::pool::device_width(),
             per_shard_budget: 64,
             max_connections: 256,
             deadline_cap: None,

@@ -99,12 +99,12 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let par = std::thread::available_parallelism().map_or(4, |n| n.get());
+        let par = tripro::pool::device_width();
         Self {
             addr: "127.0.0.1:0".to_string(),
-            max_inflight: par.max(1),
+            max_inflight: par,
             queue_depth: 64,
-            batch_helpers: par.max(1),
+            batch_helpers: par,
             max_connections: 256,
             deadline_cap: None,
             paradigm: Paradigm::FilterProgressiveRefine,

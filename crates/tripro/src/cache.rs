@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use tripro_geom::Triangle;
-use tripro_index::{AabbTree, ObbTree};
+use tripro_index::AabbTree;
 use tripro_mesh::{CompressedMesh, ProgressiveMesh};
 
 /// Decoded geometry of one object at one LOD, plus lazily built per-LOD
@@ -45,8 +45,6 @@ pub struct LodData {
     pub triangles: Arc<Vec<Triangle>>,
     /// Lazily built AABB-tree over the faces (accel `Aabb`).
     tree: OnceLock<Arc<AabbTree>>,
-    /// Lazily built OBB-tree over the faces (accel `ObbTree`).
-    obb_tree: OnceLock<Arc<ObbTree>>,
     /// Lazily built partition grouping (accel `Partition`).
     groups: OnceLock<Arc<crate::partition::GroupedFaces>>,
 }
@@ -56,7 +54,6 @@ impl LodData {
         Self {
             triangles: Arc::new(triangles),
             tree: OnceLock::new(),
-            obb_tree: OnceLock::new(),
             groups: OnceLock::new(),
         }
     }
@@ -73,13 +70,6 @@ impl LodData {
     pub fn tree(&self) -> &Arc<AabbTree> {
         self.tree
             .get_or_init(|| Arc::new(AabbTree::build_shared(Arc::clone(&self.triangles))))
-    }
-
-    /// The OBB-tree over this LOD's faces, built on first use directly
-    /// over the shared triangle buffer (no copy).
-    pub fn obb_tree(&self) -> &Arc<ObbTree> {
-        self.obb_tree
-            .get_or_init(|| Arc::new(ObbTree::build_shared(Arc::clone(&self.triangles))))
     }
 
     /// Partition grouping against `skeleton`, built on first use. The
@@ -351,7 +341,7 @@ impl DecodeCache {
         } else {
             stats.cache_misses.fetch_add(1, Ordering::Relaxed);
             obs::cache_miss_counter(shard).fetch_add(1, Ordering::Relaxed);
-            Ok(Arc::new(self.decode_fresh(id, lod, compressed, stats)?))
+            Ok(Arc::new(self.decode(id, lod, compressed, stats)?))
         }
     }
 
@@ -488,8 +478,9 @@ impl DecodeCache {
         Ok(())
     }
 
-    /// Decode with decoder-state reuse: resume the retained state when it is
-    /// at or below the requested LOD, otherwise start from the base.
+    /// Decode `(id, lod)`. With caching enabled, a retained decoder state
+    /// at or below the requested LOD is resumed and the advanced state is
+    /// retained again; otherwise decoding starts from the base.
     fn decode(
         &self,
         id: u32,
@@ -502,7 +493,11 @@ impl DecodeCache {
         let t0 = Instant::now();
         let state_shard = &self.states[id as usize % self.states.len()];
         // Take the state out so the decode itself runs without the map lock.
-        let state = lock(state_shard).remove(&id);
+        let state = if self.enabled() {
+            lock(state_shard).remove(&id)
+        } else {
+            None
+        };
         let decode_err = |source| Error::Decode { object: id, source };
         let mut pm = match state {
             Some(pm) if pm.current_lod() <= lod => pm,
@@ -510,29 +505,9 @@ impl DecodeCache {
         };
         pm.decode_to(lod).map_err(decode_err)?;
         let tris = pm.triangles();
-        lock(state_shard).insert(id, pm);
-        let took = t0.elapsed();
-        stats.add_decode(took);
-        stats.decodes.fetch_add(1, Ordering::Relaxed);
-        stats.add_decoded_bytes(std::mem::size_of_val(tris.as_slice()) as u64);
-        obs::decode_histogram(lod).record_duration(took);
-        Ok(LodData::new(tris))
-    }
-
-    fn decode_fresh(
-        &self,
-        id: u32,
-        lod: usize,
-        compressed: &CompressedMesh,
-        stats: &ExecStats,
-    ) -> Result<LodData> {
-        let _span = obs::span_at(SpanKind::Decode, id, lod as u32);
-        fault::failpoint(fault::DECODE_LOD)?;
-        let t0 = Instant::now();
-        let decode_err = |source| Error::Decode { object: id, source };
-        let mut pm = compressed.decoder().map_err(decode_err)?;
-        pm.decode_to(lod).map_err(decode_err)?;
-        let tris = pm.triangles();
+        if self.enabled() {
+            lock(state_shard).insert(id, pm);
+        }
         let took = t0.elapsed();
         stats.add_decode(took);
         stats.decodes.fetch_add(1, Ordering::Relaxed);
@@ -703,7 +678,6 @@ mod tests {
         assert_eq!(t1.len(), d.triangles.len());
         // The tree references the cached buffer, not a copy.
         assert!(Arc::ptr_eq(t1.shared_triangles(), &d.triangles));
-        assert!(Arc::ptr_eq(d.obb_tree().shared_triangles(), &d.triangles));
     }
 
     #[test]

@@ -1,12 +1,19 @@
 //! The geometry computer (paper §5.1): evaluates one decoded object pair —
 //! intersection or minimum distance — under a configurable acceleration
 //! strategy. The FPR paradigm calls this once per LOD per surviving pair.
+//!
+//! Every strategy but the AABB-tree is one `gpu::launch` loop over a
+//! pair source at a width: Brute and GPU feed it the full cross product at
+//! width 1 and at the device width; Partition and Partition+GPU feed it the
+//! face pairs of the group pairs a box walk keeps, flushing every group
+//! pair at width 1, or every [`KERNEL_SIZE`] pairs at the device width.
 
 use crate::cache::LodData;
-use crate::gpu::BatchExecutor;
+use crate::gpu::{self, Pairs, KERNEL_SIZE};
+use crate::partition::GroupedFaces;
 use crate::stats::ExecStats;
 use std::time::Instant;
-use tripro_geom::{tri_tri_dist2, tri_tri_intersect, Vec3};
+use tripro_geom::{is_exactly_zero, tri_tri_dist2, Triangle, Vec3};
 
 /// Intra-geometry acceleration strategy (the columns of Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,12 +26,8 @@ pub enum Accel {
     Aabb,
     /// Batched data-parallel execution (simulated GPU, §5.1).
     Gpu,
-    /// Partition pre-filtering feeding the batch executor.
+    /// Partition pre-filtering feeding device-width launches.
     PartitionGpu,
-    /// Per-object OBB-tree (Gottschalk et al.), the third intra-geometry
-    /// index the paper's introduction cites. Extension column: not part of
-    /// Table 1's strategy set ([`Accel::ALL`]).
-    ObbTree,
 }
 
 impl Accel {
@@ -44,23 +47,28 @@ impl Accel {
             Accel::Aabb => "AABB",
             Accel::Gpu => "GPU",
             Accel::PartitionGpu => "Partition+GPU",
-            Accel::ObbTree => "OBB-tree",
         }
     }
 }
+
+/// Group pairs a partition walk visits, as `(box lower bound, a group,
+/// b group)`; the walk stops at the first bound that cannot beat its answer.
+type GroupPairs = fn(&GroupedFaces, &GroupedFaces) -> Vec<(f64, usize, usize)>;
 
 /// Geometry computer bound to an acceleration strategy.
 #[derive(Debug, Clone)]
 pub struct Computer {
     pub accel: Accel,
-    pub executor: BatchExecutor,
+    /// Pool participants a GPU-column launch spreads over (the simulated
+    /// device's parallelism); the CPU columns run at width 1.
+    width: usize,
 }
 
 impl Computer {
     pub fn new(accel: Accel, threads: usize) -> Self {
         Self {
             accel,
-            executor: BatchExecutor::new(threads),
+            width: threads.max(1),
         }
     }
 
@@ -75,21 +83,19 @@ impl Computer {
         stats: &ExecStats,
     ) -> bool {
         let t0 = Instant::now();
-        let (hit, tests) = match self.accel {
-            Accel::Brute => brute_intersects(a, b),
-            Accel::Aabb => {
-                let mut n = 0;
-                let hit = a.tree().intersects_tree(b.tree(), &mut n);
-                (hit, n)
-            }
-            Accel::Partition => partition_intersects(a, b, sk_a, sk_b, None),
-            Accel::Gpu => self.executor.any_intersect(&a.triangles, &b.triangles),
-            Accel::PartitionGpu => partition_intersects(a, b, sk_a, sk_b, Some(&self.executor)),
-            Accel::ObbTree => {
-                let mut n = 0;
-                let hit = a.obb_tree().intersects_tree(b.obb_tree(), &mut n);
-                (hit, n)
-            }
+        let (hit, tests) = if self.accel == Accel::Aabb {
+            let mut n = 0;
+            let hit = a.tree().intersects_tree(b.tree(), &mut n);
+            (hit, n)
+        } else {
+            let (d, n) = self.launch(
+                (a, sk_a),
+                (b, sk_b),
+                f64::INFINITY,
+                gpu::hit_score,
+                overlapping,
+            );
+            (is_exactly_zero(d), n)
         };
         stats.add_face_pairs(tests);
         stats.add_compute(t0.elapsed());
@@ -108,180 +114,88 @@ impl Computer {
         stats: &ExecStats,
     ) -> f64 {
         let t0 = Instant::now();
-        let (d2, tests) = match self.accel {
-            Accel::Brute => brute_min_dist2(a, b, upper),
-            Accel::Aabb => {
-                let mut n = 0;
-                let d2 = a.tree().min_dist2_tree(b.tree(), upper, &mut n);
-                (d2, n)
-            }
-            Accel::Partition => partition_min_dist2(a, b, sk_a, sk_b, upper, None),
-            Accel::Gpu => self.executor.min_dist2(&a.triangles, &b.triangles, upper),
-            Accel::PartitionGpu => {
-                partition_min_dist2(a, b, sk_a, sk_b, upper, Some(&self.executor))
-            }
-            Accel::ObbTree => {
-                let mut n = 0;
-                let d2 = a.obb_tree().min_dist2_tree(b.obb_tree(), upper, &mut n);
-                (d2, n)
-            }
+        let (d2, tests) = if self.accel == Accel::Aabb {
+            let mut n = 0;
+            let d2 = a.tree().min_dist2_tree(b.tree(), upper, &mut n);
+            (d2, n)
+        } else {
+            self.launch((a, sk_a), (b, sk_b), upper, tri_tri_dist2, by_distance)
         };
         stats.add_face_pairs(tests);
         stats.add_compute(t0.elapsed());
         d2
     }
-}
 
-fn brute_intersects(a: &LodData, b: &LodData) -> (bool, u64) {
-    let mut tests = 0u64;
-    for x in a.triangles.iter() {
-        for y in b.triangles.iter() {
-            tests += 1;
-            if tri_tri_intersect(x, y) {
-                return (true, tests);
-            }
-        }
-    }
-    (false, tests)
-}
-
-fn brute_min_dist2(a: &LodData, b: &LodData, upper: f64) -> (f64, u64) {
-    let mut best = upper;
-    let mut tests = 0u64;
-    for x in a.triangles.iter() {
-        for y in b.triangles.iter() {
-            tests += 1;
-            let d2 = tri_tri_dist2(x, y);
-            if d2 < best {
-                best = d2;
-                if tripro_geom::is_exactly_zero(best) {
-                    return (0.0, tests);
-                }
-            }
-        }
-    }
-    (best, tests)
-}
-
-fn partition_intersects(
-    a: &LodData,
-    b: &LodData,
-    sk_a: &[Vec3],
-    sk_b: &[Vec3],
-    executor: Option<&BatchExecutor>,
-) -> (bool, u64) {
-    let ga = a.groups(sk_a).clone();
-    let gb = b.groups(sk_b).clone();
-    let mut tests = 0u64;
-    // GPU path: pack surviving group pairs, flushing every `kernel_size`
-    // entries so the pack buffer stays bounded regardless of how many
-    // group pairs survive the box filter — and an early hit in a flushed
-    // batch skips packing the rest entirely.
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    for (i, bi) in ga.non_empty() {
-        for (j, bj) in gb.non_empty() {
-            if !bi.intersects(bj) {
-                continue;
-            }
-            if let Some(ex) = executor {
-                for &fi in ga.group(i) {
-                    for &fj in gb.group(j) {
-                        pairs.push((fi, fj));
-                    }
-                }
-                if pairs.len() >= ex.kernel_size {
-                    let (hit, n) = ex.any_intersect_pairs(&a.triangles, &b.triangles, &pairs);
-                    tests += n;
-                    if hit {
-                        return (true, tests);
-                    }
-                    pairs.clear();
-                }
-            } else {
-                for &fi in ga.group(i) {
-                    for &fj in gb.group(j) {
-                        tests += 1;
-                        if tri_tri_intersect(&a.triangles[fi as usize], &b.triangles[fj as usize]) {
-                            return (true, tests);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if let Some(ex) = executor {
-        let (hit, n) = ex.any_intersect_pairs(&a.triangles, &b.triangles, &pairs);
-        return (hit, tests + n);
-    }
-    (false, tests)
-}
-
-fn partition_min_dist2(
-    a: &LodData,
-    b: &LodData,
-    sk_a: &[Vec3],
-    sk_b: &[Vec3],
-    upper: f64,
-    executor: Option<&BatchExecutor>,
-) -> (f64, u64) {
-    let ga = a.groups(sk_a).clone();
-    let gb = b.groups(sk_b).clone();
-    // Order group pairs by box distance, then branch-and-bound.
-    let mut group_pairs: Vec<(f64, usize, usize)> = Vec::new();
-    for (i, bi) in ga.non_empty() {
-        for (j, bj) in gb.non_empty() {
-            group_pairs.push((bi.min_dist2(bj), i, j));
-        }
-    }
-    group_pairs.sort_by(|x, y| x.0.total_cmp(&y.0));
-    let mut best = upper;
-    let mut tests = 0u64;
-    if let Some(ex) = executor {
-        // Pack surviving group pairs (by the box bound) and evaluate in
-        // `kernel_size` batches. Flushing between batches both bounds the
-        // pack buffer and tightens `best`, so later group pairs — sorted by
-        // ascending box distance — are pruned by results already computed.
+    /// Every non-tree strategy: the cross product in one launch, or the
+    /// partition walk's packed group pairs in one launch per flush.
+    fn launch<F>(
+        &self,
+        (a, sk_a): (&LodData, &[Vec3]),
+        (b, sk_b): (&LodData, &[Vec3]),
+        upper: f64,
+        score: F,
+        group_pairs: GroupPairs,
+    ) -> (f64, u64)
+    where
+        F: Fn(&Triangle, &Triangle) -> f64 + Sync + Copy,
+    {
+        let (ta, tb) = (&a.triangles[..], &b.triangles[..]);
+        let (width, flush) = match self.accel {
+            Accel::Brute => return gpu::launch(ta, tb, Pairs::Cross, 1, upper, score),
+            Accel::Gpu => return gpu::launch(ta, tb, Pairs::Cross, self.width, upper, score),
+            Accel::PartitionGpu => (self.width, KERNEL_SIZE),
+            // Partition; the tree never launches.
+            Accel::Partition | Accel::Aabb => (1, 1),
+        };
+        let (ga, gb) = (a.groups(sk_a), b.groups(sk_b));
+        let mut best = upper;
+        let mut tests = 0u64;
+        // Flushing every `flush` packed pairs bounds the pack buffer and
+        // tightens `best`, so later group pairs — for distance, sorted by
+        // ascending box bound — are cut by results already computed, and
+        // an early hit skips packing the rest entirely.
         let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for &(lb, i, j) in &group_pairs {
+        for (lb, i, j) in group_pairs(ga, gb) {
             if lb >= best {
                 break;
             }
             for &fi in ga.group(i) {
-                for &fj in gb.group(j) {
-                    pairs.push((fi, fj));
-                }
+                pairs.extend(gb.group(j).iter().map(|&fj| (fi, fj)));
             }
-            if pairs.len() >= ex.kernel_size {
-                let (d2, n) = ex.min_dist2_pairs(&a.triangles, &b.triangles, &pairs, best);
+            if pairs.len() >= flush {
+                let (d, n) = gpu::launch(ta, tb, Pairs::Packed(&pairs), width, best, score);
                 tests += n;
-                best = best.min(d2);
+                best = d;
                 pairs.clear();
-                if tripro_geom::is_exactly_zero(best) {
+                if is_exactly_zero(best) {
                     return (0.0, tests);
                 }
             }
         }
-        let (d2, n) = ex.min_dist2_pairs(&a.triangles, &b.triangles, &pairs, best);
-        return (best.min(d2), tests + n);
+        let (d, n) = gpu::launch(ta, tb, Pairs::Packed(&pairs), width, best, score);
+        (d, tests + n)
     }
-    for &(lb, i, j) in &group_pairs {
-        if lb >= best {
-            break;
-        }
-        for &fi in ga.group(i) {
-            for &fj in gb.group(j) {
-                tests += 1;
-                let d2 = tri_tri_dist2(&a.triangles[fi as usize], &b.triangles[fj as usize]);
-                if d2 < best {
-                    best = d2;
-                    if tripro_geom::is_exactly_zero(best) {
-                        return (0.0, tests);
-                    }
-                }
-            }
-        }
-    }
-    (best, tests)
+}
+
+/// The intersection walk: group pairs whose boxes overlap, in group order.
+fn overlapping(ga: &GroupedFaces, gb: &GroupedFaces) -> Vec<(f64, usize, usize)> {
+    ga.non_empty()
+        .flat_map(|(i, bi)| {
+            gb.non_empty()
+                .filter(move |(_, bj)| bi.intersects(bj))
+                .map(move |(j, _)| (0.0, i, j))
+        })
+        .collect()
+}
+
+/// The distance walk: every group pair, nearest boxes first.
+fn by_distance(ga: &GroupedFaces, gb: &GroupedFaces) -> Vec<(f64, usize, usize)> {
+    let mut out: Vec<_> = ga
+        .non_empty()
+        .flat_map(|(i, bi)| gb.non_empty().map(move |(j, bj)| (bi.min_dist2(bj), i, j)))
+        .collect();
+    out.sort_by(|x, y| x.0.total_cmp(&y.0));
+    out
 }
 
 #[cfg(test)]
@@ -381,30 +295,32 @@ mod tests {
 
     #[test]
     fn partition_gpu_chunked_flush_matches_unchunked() {
-        // A kernel size far below the surviving pair count forces many
-        // flushes; results must not change, and the inter-flush bound
-        // tightening can only reduce the pairs actually evaluated.
+        // Partition flushes after every group pair, Partition+GPU every
+        // KERNEL_SIZE packed pairs: answers must not change, and the
+        // tighter bound of the finer flush can only reduce the pairs
+        // actually evaluated.
         let a = sheet(6, 0.0);
         let b = sheet(6, 4.0);
         let sk_a = skeleton_of(&a, 4);
         let sk_b = skeleton_of(&b, 4);
-        let mut tiny = Computer::new(Accel::PartitionGpu, 2);
-        tiny.executor.kernel_size = 16;
-        let big = Computer::new(Accel::PartitionGpu, 2);
-        let s_tiny = ExecStats::new();
-        let s_big = ExecStats::new();
-        let d_tiny = tiny.min_dist2(&a, &b, &sk_a, &sk_b, f64::INFINITY, &s_tiny);
-        let d_big = big.min_dist2(&a, &b, &sk_a, &sk_b, f64::INFINITY, &s_big);
-        assert!((d_tiny - d_big).abs() < 1e-12);
-        assert!((d_tiny - 16.0).abs() < 1e-9);
+        let fine = Computer::new(Accel::Partition, 2);
+        let coarse = Computer::new(Accel::PartitionGpu, 2);
+        let s_fine = ExecStats::new();
+        let s_coarse = ExecStats::new();
+        let d_fine = fine.min_dist2(&a, &b, &sk_a, &sk_b, f64::INFINITY, &s_fine);
+        let d_coarse = coarse.min_dist2(&a, &b, &sk_a, &sk_b, f64::INFINITY, &s_coarse);
+        assert!((d_fine - d_coarse).abs() < 1e-12);
+        assert!((d_fine - 16.0).abs() < 1e-9);
         assert!(
-            s_tiny.snapshot().face_pair_tests <= s_big.snapshot().face_pair_tests,
-            "chunked flush must not test more pairs"
+            s_fine.snapshot().face_pair_tests <= s_coarse.snapshot().face_pair_tests,
+            "per-group-pair flush must not test more pairs"
         );
-        // Intersection variant under the same forced chunking.
-        assert!(!tiny.intersects(&a, &b, &sk_a, &sk_b, &s_tiny));
+        // Intersection variant, a miss and a hit under both flushes.
         let touching = sheet(6, 0.0);
-        assert!(tiny.intersects(&a, &touching, &sk_a, &sk_a, &s_tiny));
+        for c in [&fine, &coarse] {
+            assert!(!c.intersects(&a, &b, &sk_a, &sk_b, &s_fine));
+            assert!(c.intersects(&a, &touching, &sk_a, &sk_a, &s_fine));
+        }
     }
 
     #[test]

@@ -1,277 +1,148 @@
-//! GPU-style batch executor (paper §5.1, "GPU-based Parallelization").
+//! The face-pair kernel (paper §5.1): one launch loop behind every
+//! strategy of Table 1 except the AABB-tree.
 //!
 //! **Substitution note (see DESIGN.md):** this environment has no CUDA
-//! device, so the GPU path is simulated by a data-parallel batch executor
-//! that preserves the GPU code path's structure: face pairs are packed into
-//! a flat computation buffer, split into fixed-size *kernel launches*, and
-//! each launch is executed by a worker over contiguous memory with no
-//! per-pair dispatch overhead. Early exit happens only at launch
-//! granularity, exactly like polling a device-side flag between kernels.
+//! device, so the GPU columns are simulated by a data-parallel launch loop
+//! that preserves the GPU code path's structure: face pairs come from a
+//! pair source (the full cross product, or a packed `(u32, u32)` buffer),
+//! are split into fixed-size *kernel launches*, and each launch is executed
+//! by a worker over contiguous memory with no per-pair dispatch overhead.
+//! Early exit happens only at launch granularity, exactly like polling a
+//! device-side flag between kernels. The CPU columns run the same loop at
+//! width 1.
 //!
-//! Workers come from the process-wide [`crate::pool`] — launching a batch
-//! wakes parked threads instead of spawning fresh ones, so the per-call
-//! cost is a condvar signal rather than thread creation.
+//! Workers come from the process-wide [`crate::pool`] — a launch wakes
+//! parked threads instead of spawning fresh ones. The launches are also
+//! what §5.2's resource manager reduces to on this host: one shared queue
+//! of fixed-size tasks, claimed by whichever pool participant is free,
+//! caller included.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use tripro_geom::{tri_tri_dist2, tri_tri_intersect, Triangle};
+use tripro_geom::{is_exactly_zero, tri_tri_intersect, Triangle};
 
 /// Number of face pairs evaluated per simulated kernel launch.
 pub const KERNEL_SIZE: usize = 8192;
 
-/// Batch executor configuration.
+/// Where a launch reads its face pairs from.
 #[derive(Debug, Clone, Copy)]
-pub struct BatchExecutor {
-    /// Worker count (the simulated device's parallelism).
-    pub threads: usize,
-    /// Pairs per kernel launch.
-    pub kernel_size: usize,
+pub(crate) enum Pairs<'p> {
+    /// Every `(a[i], b[j])`, row-major.
+    Cross,
+    /// An explicit packed buffer of `(i, j)` indices.
+    Packed(&'p [(u32, u32)]),
 }
 
-impl Default for BatchExecutor {
-    fn default() -> Self {
-        Self {
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            kernel_size: KERNEL_SIZE,
-        }
+/// Per-pair score of the intersection kernel: zero on a hit, so the
+/// launch's zero short-circuit is intersection's early exit.
+pub(crate) fn hit_score(x: &Triangle, y: &Triangle) -> f64 {
+    if tri_tri_intersect(x, y) {
+        0.0
+    } else {
+        f64::INFINITY
     }
 }
 
-impl BatchExecutor {
-    pub fn new(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-            kernel_size: KERNEL_SIZE,
-        }
+/// Minimum of `score` over `pairs` of `a × b`, in [`KERNEL_SIZE`] launches
+/// claimed by up to `width` pool participants. `upper` seeds the running
+/// minimum; a zero score stops every participant at its next claim.
+/// Returns `(min(upper, minimum score), pairs_tested)`.
+// ORDERING: every atomic here is Relaxed on purpose — `stop` and the claim
+// counter are advisory early-exit/work-claiming hints with no data
+// published under them, `best_bits` is a monotone minimum maintained by a
+// CAS loop that re-validates against the current value, and the pool's
+// `run_with` join is the happens-before edge that makes all results
+// visible to the caller.
+pub(crate) fn launch<F>(
+    a: &[Triangle],
+    b: &[Triangle],
+    pairs: Pairs<'_>,
+    width: usize,
+    upper: f64,
+    score: F,
+) -> (f64, u64)
+where
+    F: Fn(&Triangle, &Triangle) -> f64 + Sync,
+{
+    let total = match pairs {
+        Pairs::Cross => a.len() * b.len(),
+        Pairs::Packed(p) => p.len(),
+    };
+    if total == 0 {
+        return (upper, 0);
     }
-
-    /// `true` if any pair `(a[i], b[j])` over the full cross product
-    /// intersects. Returns `(result, pairs_tested)`.
-    // ORDERING: every atomic in this kernel is Relaxed on purpose — `found`
-    // and the claim counter are advisory early-exit/work-claiming hints
-    // with no data published under them; the pool's `run_with` join is the
-    // happens-before edge that makes all results visible to the caller.
-    pub fn any_intersect(&self, a: &[Triangle], b: &[Triangle]) -> (bool, u64) {
-        let total = a.len() * b.len();
-        if total == 0 {
-            return (false, 0);
+    let kernels = total.div_ceil(KERNEL_SIZE);
+    let next = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let tested = AtomicU64::new(0);
+    let best_bits = AtomicU64::new(upper.to_bits());
+    crate::pool::global().run_with(width.clamp(1, kernels) - 1, |_| loop {
+        if stop.load(Ordering::Relaxed) {
+            return;
         }
-        let found = AtomicBool::new(false);
-        let tested = AtomicU64::new(0);
-        let next = AtomicUsize::new(0);
-        let kernels = total.div_ceil(self.kernel_size);
-        let workers = self.threads.min(kernels);
-        crate::pool::global().run_with(workers - 1, |_| loop {
-            if found.load(Ordering::Relaxed) {
-                return;
-            }
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= kernels {
-                return;
-            }
-            let start = k * self.kernel_size;
-            let end = (start + self.kernel_size).min(total);
-            let mut local = 0u64;
-            for idx in start..end {
-                let (i, j) = (idx / b.len(), idx % b.len());
-                local += 1;
-                if tri_tri_intersect(&a[i], &b[j]) {
-                    found.store(true, Ordering::Relaxed);
-                    break;
+        let k = next.fetch_add(1, Ordering::Relaxed);
+        if k >= kernels {
+            return;
+        }
+        let range = k * KERNEL_SIZE..((k + 1) * KERNEL_SIZE).min(total);
+        let mut local_best = f64::INFINITY;
+        let mut local = 0u64;
+        // `true` once this pair scores zero: nothing can beat it.
+        let mut eval = |x: &Triangle, y: &Triangle| {
+            local += 1;
+            let s = score(x, y);
+            if s < local_best {
+                local_best = s;
+                if is_exactly_zero(s) {
+                    stop.store(true, Ordering::Relaxed);
+                    return true;
                 }
             }
-            tested.fetch_add(local, Ordering::Relaxed);
-        });
-        (
-            found.load(Ordering::Relaxed),
-            tested.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Minimum squared distance over the full cross product, clamped below
-    /// by nothing (exact). `upper` seeds the running bound so kernels can
-    /// skip pairs whose result cannot improve it. Returns
-    /// `(min(upper, true minimum), pairs_tested)`.
-    // ORDERING: Relaxed throughout — `zero` is an advisory early-exit hint,
-    // `best_bits` is a monotone minimum maintained by a CAS loop that
-    // re-validates against the current value, and the pool's `run_with`
-    // join publishes the final values to the caller.
-    pub fn min_dist2(&self, a: &[Triangle], b: &[Triangle], upper: f64) -> (f64, u64) {
-        let total = a.len() * b.len();
-        if total == 0 {
-            return (upper, 0);
-        }
-        let tested = AtomicU64::new(0);
-        let next = AtomicUsize::new(0);
-        let zero = AtomicBool::new(false);
-        let kernels = total.div_ceil(self.kernel_size);
-        let workers = self.threads.min(kernels);
-        let best_bits = AtomicU64::new(upper.to_bits());
-        crate::pool::global().run_with(workers - 1, |_| loop {
-            if zero.load(Ordering::Relaxed) {
-                return;
-            }
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= kernels {
-                return;
-            }
-            let start = k * self.kernel_size;
-            let end = (start + self.kernel_size).min(total);
-            let mut local_best = f64::INFINITY;
-            let mut local = 0u64;
-            for idx in start..end {
-                let (i, j) = (idx / b.len(), idx % b.len());
-                local += 1;
-                let d2 = tri_tri_dist2(&a[i], &b[j]);
-                if d2 < local_best {
-                    local_best = d2;
-                    if tripro_geom::is_exactly_zero(d2) {
-                        zero.store(true, Ordering::Relaxed);
+            false
+        };
+        match pairs {
+            Pairs::Cross => {
+                for idx in range {
+                    if eval(&a[idx / b.len()], &b[idx % b.len()]) {
                         break;
                     }
                 }
             }
-            tested.fetch_add(local, Ordering::Relaxed);
-            // Lock-free running minimum (f64 bits are monotone
-            // for non-negative values).
-            let mut cur = best_bits.load(Ordering::Relaxed);
-            while f64::from_bits(cur) > local_best {
-                match best_bits.compare_exchange_weak(
-                    cur,
-                    local_best.to_bits(),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(c) => cur = c,
-                }
-            }
-        });
-        if zero.load(Ordering::Relaxed) {
-            return (0.0, tested.load(Ordering::Relaxed));
-        }
-        (
-            f64::from_bits(best_bits.load(Ordering::Relaxed)),
-            tested.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Minimum squared distance over an explicit packed pair buffer
-    /// (used by the partition+GPU combination where only surviving group
-    /// pairs are packed).
-    // ORDERING: same Relaxed discipline as `min_dist2` — advisory hints
-    // plus a monotone CAS minimum; `run_with`'s join is the sync point.
-    pub fn min_dist2_pairs(
-        &self,
-        a: &[Triangle],
-        b: &[Triangle],
-        pairs: &[(u32, u32)],
-        upper: f64,
-    ) -> (f64, u64) {
-        if pairs.is_empty() {
-            return (upper, 0);
-        }
-        let tested = AtomicU64::new(0);
-        let next = AtomicUsize::new(0);
-        let kernels = pairs.len().div_ceil(self.kernel_size);
-        let workers = self.threads.min(kernels);
-        let best_bits = AtomicU64::new(upper.to_bits());
-        let zero = AtomicBool::new(false);
-        crate::pool::global().run_with(workers - 1, |_| loop {
-            if zero.load(Ordering::Relaxed) {
-                return;
-            }
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= kernels {
-                return;
-            }
-            let start = k * self.kernel_size;
-            let end = (start + self.kernel_size).min(pairs.len());
-            let mut local_best = f64::INFINITY;
-            let mut local = 0u64;
-            for &(i, j) in &pairs[start..end] {
-                local += 1;
-                let d2 = tri_tri_dist2(&a[i as usize], &b[j as usize]);
-                if d2 < local_best {
-                    local_best = d2;
-                    if tripro_geom::is_exactly_zero(d2) {
-                        zero.store(true, Ordering::Relaxed);
+            Pairs::Packed(p) => {
+                for &(i, j) in &p[range] {
+                    if eval(&a[i as usize], &b[j as usize]) {
                         break;
                     }
                 }
             }
-            tested.fetch_add(local, Ordering::Relaxed);
-            let mut cur = best_bits.load(Ordering::Relaxed);
-            while f64::from_bits(cur) > local_best {
-                match best_bits.compare_exchange_weak(
-                    cur,
-                    local_best.to_bits(),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break,
-                    Err(c) => cur = c,
-                }
-            }
-        });
-        if zero.load(Ordering::Relaxed) {
-            return (0.0, tested.load(Ordering::Relaxed));
         }
-        (
-            f64::from_bits(best_bits.load(Ordering::Relaxed)),
-            tested.load(Ordering::Relaxed),
-        )
-    }
-
-    /// `true` if any pair in the packed buffer intersects.
-    // ORDERING: same Relaxed discipline as `any_intersect` — advisory
-    // early-exit flag only; `run_with`'s join is the sync point.
-    pub fn any_intersect_pairs(
-        &self,
-        a: &[Triangle],
-        b: &[Triangle],
-        pairs: &[(u32, u32)],
-    ) -> (bool, u64) {
-        if pairs.is_empty() {
-            return (false, 0);
+        tested.fetch_add(local, Ordering::Relaxed);
+        // Lock-free running minimum (f64 bits are monotone for
+        // non-negative values).
+        let mut cur = best_bits.load(Ordering::Relaxed);
+        while f64::from_bits(cur) > local_best {
+            match best_bits.compare_exchange_weak(
+                cur,
+                local_best.to_bits(),
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => break,
+                Err(c) => cur = c,
+            }
         }
-        let found = AtomicBool::new(false);
-        let tested = AtomicU64::new(0);
-        let next = AtomicUsize::new(0);
-        let kernels = pairs.len().div_ceil(self.kernel_size);
-        let workers = self.threads.min(kernels);
-        crate::pool::global().run_with(workers - 1, |_| loop {
-            if found.load(Ordering::Relaxed) {
-                return;
-            }
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= kernels {
-                return;
-            }
-            let start = k * self.kernel_size;
-            let end = (start + self.kernel_size).min(pairs.len());
-            let mut local = 0u64;
-            for &(i, j) in &pairs[start..end] {
-                local += 1;
-                if tri_tri_intersect(&a[i as usize], &b[j as usize]) {
-                    found.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-            tested.fetch_add(local, Ordering::Relaxed);
-        });
-        (
-            found.load(Ordering::Relaxed),
-            tested.load(Ordering::Relaxed),
-        )
-    }
+    });
+    let best = if stop.load(Ordering::Relaxed) {
+        0.0
+    } else {
+        f64::from_bits(best_bits.load(Ordering::Relaxed))
+    };
+    (best, tested.load(Ordering::Relaxed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tripro_geom::vec3;
+    use tripro_geom::{tri_tri_dist2, vec3};
 
     fn sheet(n: usize, z: f64) -> Vec<Triangle> {
         let mut tris = Vec::new();
@@ -293,80 +164,80 @@ mod tests {
         tris
     }
 
+    fn hits(a: &[Triangle], b: &[Triangle], pairs: Pairs<'_>, width: usize) -> (bool, u64) {
+        let (d, n) = launch(a, b, pairs, width, f64::INFINITY, hit_score);
+        (is_exactly_zero(d), n)
+    }
+
     #[test]
     fn intersect_detects() {
-        let ex = BatchExecutor::new(4);
         let a = sheet(6, 0.0);
         let poker = vec![Triangle::new(
             vec3(3.2, 3.2, -1.0),
             vec3(3.3, 3.2, 1.0),
             vec3(3.2, 3.4, 1.0),
         )];
-        let (hit, tested) = ex.any_intersect(&a, &poker);
+        let (hit, tested) = hits(&a, &poker, Pairs::Cross, 4);
         assert!(hit);
         assert!(tested > 0);
         let b = sheet(6, 5.0);
-        let (miss, tested2) = ex.any_intersect(&a, &b);
+        let (miss, tested2) = hits(&a, &b, Pairs::Cross, 4);
         assert!(!miss);
         assert_eq!(tested2, (a.len() * b.len()) as u64, "no early exit on miss");
     }
 
     #[test]
     fn min_dist_matches_brute() {
-        let ex = BatchExecutor::new(4);
         let a = sheet(5, 0.0);
         let b = sheet(5, 2.5);
         let brute = a
             .iter()
             .flat_map(|x| b.iter().map(move |y| tri_tri_dist2(x, y)))
             .fold(f64::INFINITY, f64::min);
-        let (d2, _) = ex.min_dist2(&a, &b, f64::INFINITY);
+        let (d2, _) = launch(&a, &b, Pairs::Cross, 4, f64::INFINITY, tri_tri_dist2);
         assert!((d2 - brute).abs() < 1e-12);
         assert!((d2 - 6.25).abs() < 1e-12);
     }
 
     #[test]
     fn min_dist_zero_short_circuits() {
-        let ex = BatchExecutor::new(2);
         let a = sheet(4, 0.0);
-        let (d2, _) = ex.min_dist2(&a, &a, f64::INFINITY);
+        let (d2, _) = launch(&a, &a, Pairs::Cross, 2, f64::INFINITY, tri_tri_dist2);
         assert_eq!(d2, 0.0);
     }
 
     #[test]
     fn upper_seed_is_respected() {
-        let ex = BatchExecutor::new(2);
         let a = sheet(3, 0.0);
         let b = sheet(3, 10.0);
         // True d2 = 100; a seed of 50 stays (nothing improves it).
-        let (d2, _) = ex.min_dist2(&a, &b, 50.0);
+        let (d2, _) = launch(&a, &b, Pairs::Cross, 2, 50.0, tri_tri_dist2);
         assert_eq!(d2, 50.0);
     }
 
     #[test]
     fn pair_buffer_variants() {
-        let ex = BatchExecutor::new(3);
         let a = sheet(3, 0.0);
         let b = sheet(3, 2.0);
         let all: Vec<(u32, u32)> = (0..a.len() as u32)
             .flat_map(|i| (0..b.len() as u32).map(move |j| (i, j)))
             .collect();
-        let (d2, n) = ex.min_dist2_pairs(&a, &b, &all, f64::INFINITY);
+        let packed = Pairs::Packed(&all);
+        let (d2, n) = launch(&a, &b, packed, 3, f64::INFINITY, tri_tri_dist2);
         assert!((d2 - 4.0).abs() < 1e-12);
         assert_eq!(n, all.len() as u64);
-        let (hit, _) = ex.any_intersect_pairs(&a, &b, &all);
-        assert!(!hit);
-        let (hit2, _) = ex.any_intersect_pairs(&a, &a, &all[..5]);
-        assert!(hit2);
+        assert!(!hits(&a, &b, packed, 3).0);
+        assert!(hits(&a, &a, Pairs::Packed(&all[..5]), 3).0);
         // Empty buffers.
-        assert_eq!(ex.min_dist2_pairs(&a, &b, &[], 7.0), (7.0, 0));
-        assert_eq!(ex.any_intersect_pairs(&a, &b, &[]), (false, 0));
+        let empty = Pairs::Packed(&[]);
+        assert_eq!(launch(&a, &b, empty, 3, 7.0, tri_tri_dist2), (7.0, 0));
+        assert_eq!(hits(&a, &b, empty, 3), (false, 0));
     }
 
     #[test]
     fn empty_inputs() {
-        let ex = BatchExecutor::new(2);
-        assert_eq!(ex.any_intersect(&[], &sheet(2, 0.0)), (false, 0));
-        assert_eq!(ex.min_dist2(&sheet(2, 0.0), &[], 3.0), (3.0, 0));
+        assert_eq!(hits(&[], &sheet(2, 0.0), Pairs::Cross, 2), (false, 0));
+        let (d2, n) = launch(&sheet(2, 0.0), &[], Pairs::Cross, 2, 3.0, tri_tri_dist2);
+        assert_eq!((d2, n), (3.0, 0));
     }
 }

@@ -48,10 +48,9 @@
 //! | [`cache`] | LRU decode cache with progressive decoder-state reuse (§5.3) |
 //! | [`query`] | the query processor: FR & FPR intersection / within / NN / kNN joins (§4) |
 //! | [`compute`] | the geometry computer and its acceleration strategies (§5.1) |
-//! | [`gpu`] | the batched data-parallel executor standing in for GPU kernels (§5.1) |
-//! | [`pool`] | persistent worker pool shared by the executor, driver and resource manager |
+//! | [`gpu`] | the one face-pair launch loop behind Brute, Partition and the simulated GPU columns (§5.1, §5.2) |
+//! | [`pool`] | persistent worker pool shared by the launch loop, driver and store build |
 //! | [`partition`] | skeleton-based object partitioning (§5.1) |
-//! | [`resource`] | shared task queue drained by CPU pool + device (§5.2) |
 //! | [`profiler`] | LOD-list selection by pruned-fraction profiling (§4.4, §6.5) |
 //! | [`point`] | progressive point-containment queries |
 //! | [`deadline`] | cooperative deadline/cancel tokens polled between refinement rounds |
@@ -71,7 +70,6 @@ pub mod point;
 pub mod pool;
 pub mod profiler;
 pub mod query;
-pub mod resource;
 pub mod stats;
 pub mod store;
 pub mod sync;
@@ -81,12 +79,10 @@ pub use compute::{Accel, Computer};
 pub use deadline::Deadline;
 pub use error::{Error, Result};
 pub use fault::{FaultAction, Trigger};
-pub use gpu::BatchExecutor;
 pub use obs::{CostExemplar, Histogram, MetricsRegistry, SpanSummary, TraceConfig};
 pub use point::PointQuery;
 pub use pool::WorkerPool;
 pub use profiler::{choose_lods, measure_r, LodActivity, LodChoice, QueryKind};
 pub use query::{Engine, JoinPairs, NnPairs, Paradigm, QueryConfig};
-pub use resource::ResourceManager;
 pub use stats::{ExecStats, ServiceSnapshot, ServiceStats, StatsSnapshot};
 pub use store::{ObjectId, ObjectStore, StoreConfig, StoredObject};

@@ -391,16 +391,6 @@ pub fn shard_error_counter(shard: usize) -> &'static AtomicU64 {
     &handles[shard.min(CACHE_SHARDS - 1)]
 }
 
-/// Resource-manager task counter by executor role.
-#[must_use]
-pub fn resource_task_counter(device: &str) -> Arc<AtomicU64> {
-    registry().counter(
-        "tripro_resource_tasks_total",
-        "Resource-manager tasks drained, by executor.",
-        &[("device", device)],
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,6 +1,6 @@
-//! Persistent worker pool: the concurrency backbone for the batch executor
-//! (`gpu`), the join driver (`query::Engine::drive`), store construction and
-//! the hybrid resource manager.
+//! Persistent worker pool: the concurrency backbone for the kernel launch
+//! loop (`gpu`), the join driver (`query::Engine::drive`) and store
+//! construction.
 //!
 //! The seed implementation spawned a fresh `std::thread::scope` for every
 //! kernel launch and every join, which put thread spawn/teardown on the
@@ -289,11 +289,11 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// The process-wide pool shared by the batch executor, the join driver,
-/// store construction and the resource manager. One resident set of worker
-/// threads per process mirrors the paper's §5.2 setup — a fixed CPU pool
-/// plus device — and lets the decode cache stay warm across joins without
-/// any per-call thread churn.
+/// The process-wide pool shared by the kernel launch loop, the join driver
+/// and store construction. One resident set of worker threads per process
+/// mirrors the paper's §5.2 setup — a fixed CPU pool plus device — and
+/// lets the decode cache stay warm across joins without any per-call
+/// thread churn.
 pub fn global() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
     POOL.get_or_init(WorkerPool::new)

@@ -74,7 +74,7 @@ impl KthSmallest {
 }
 
 /// Per-join context built **once** and shared by every target evaluation:
-/// the geometry computer (with its batch executor) and the LOD ladder.
+/// the geometry computer (with its device width) and the LOD ladder.
 struct JoinCtx {
     computer: Computer,
     lods: Vec<usize>,
@@ -409,8 +409,8 @@ impl<'a> Engine<'a> {
 
     fn join_ctx(&self, cfg: &QueryConfig) -> JoinCtx {
         JoinCtx {
-            // The computer's executor parallelism is independent of the
-            // join driver's thread count: it models the device.
+            // The GPU columns' launch width is independent of the join
+            // driver's thread count: it models the device.
             computer: Computer::new(cfg.accel, crate::pool::device_width()),
             lods: self.lods(cfg),
             deadline: cfg.deadline.clone(),
@@ -898,8 +898,7 @@ mod tests {
     fn all_configs() -> Vec<QueryConfig> {
         let mut out = Vec::new();
         for p in [Paradigm::FilterRefine, Paradigm::FilterProgressiveRefine] {
-            // Table 1's five strategies plus the OBB-tree extension.
-            for a in Accel::ALL.into_iter().chain([Accel::ObbTree]) {
+            for a in Accel::ALL {
                 out.push(QueryConfig::new(p, a));
             }
         }

@@ -51,9 +51,7 @@ impl Default for StoreConfig {
         Self {
             encoder: EncoderConfig::default(),
             cache_bytes: 256 << 20,
-            build_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
+            build_threads: crate::pool::device_width(),
         }
     }
 }

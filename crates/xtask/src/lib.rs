@@ -205,12 +205,17 @@ mod tests {
 
     #[test]
     fn join_driver_modules_are_fully_linted() {
-        // The join driver and the pool it runs on are hot-path engine
-        // code AND lock infrastructure: they must stay in the no-panic set
-        // and under the full concurrency rule battery (lock ranks on the
-        // result accumulator and the job mutex, ordering notes on the
-        // claim counter, predicate loops around the pool's condvar waits).
-        for file in ["crates/tripro/src/query.rs", "crates/tripro/src/pool.rs"] {
+        // The join driver, the kernel launch loop and the pool they run on
+        // are hot-path engine code AND lock infrastructure: they must stay
+        // in the no-panic set and under the full concurrency rule battery
+        // (lock ranks on the result accumulator and the job mutex,
+        // ordering notes on the claim counters and the launch's stop flag
+        // and CAS minimum, predicate loops around the pool's condvar waits).
+        for file in [
+            "crates/tripro/src/query.rs",
+            "crates/tripro/src/gpu.rs",
+            "crates/tripro/src/pool.rs",
+        ] {
             let rules = rules_for(file);
             assert!(rules.contains(&Rule::NoPanic), "{file} must be no-panic");
             for rule in [Rule::LockOrder, Rule::AtomicOrdering, Rule::CondvarWaitLoop] {

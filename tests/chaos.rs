@@ -582,7 +582,7 @@ fn shard_disconnects_mid_join_degrade_typed_and_ledgers_balance() {
 
 /// A shard process dying outright (not just flaky I/O) must degrade to a
 /// typed error within the request deadline — the "no hang" acceptance
-/// criterion — and the coordinator must keep serving afterwards.
+/// condition — and the coordinator must keep serving afterwards.
 #[test]
 fn dead_shard_yields_typed_error_within_deadline() {
     let _guard = serial();
