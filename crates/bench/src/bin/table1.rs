@@ -66,9 +66,9 @@ fn main() {
     }
     out.blank();
     out.line("Paper shape to check: FPR beats FR in every column; partition only");
-    out.line("helps vessel tests; AABB helps distance queries; on a single-core");
-    out.line("host the simulated-GPU column degenerates to brute force (see");
-    out.line("EXPERIMENTS.md).");
+    out.line("helps vessel tests; AABB helps distance queries; when the join");
+    out.line("driver occupies every core, the simulated-GPU column degenerates");
+    out.line("to brute force (see EXPERIMENTS.md).");
     let mut name = match std::env::var("TRIPRO_TESTS") {
         Ok(sel) => format!("table1_{}", sel.replace(',', "_")),
         Err(_) => "table1".to_string(),

@@ -7,8 +7,9 @@
 //! Closest-point formulations follow Ericson, *Real-Time Collision
 //! Detection* (2005), §5.1.
 
-use crate::eps::is_exactly_zero;
-use crate::intersect::tri_tri_intersect;
+use crate::aabb::Aabb;
+use crate::eps::{is_exactly_zero, BOX_GAP_SLACK};
+use crate::intersect::{beside_plane, tri_tri_intersect};
 use crate::tri::Triangle;
 use crate::vec3::Vec3;
 
@@ -196,6 +197,50 @@ pub fn tri_tri_dist2(t1: &Triangle, t2: &Triangle) -> f64 {
     d2
 }
 
+/// [`tri_tri_dist2`] for a caller that only needs it below `bound`: exactly
+/// `tri_tri_dist2(t1, t2)` whenever that is `< bound`, otherwise some value
+/// `≥ bound`. A pair whose vertex boxes are farther apart than `bound`
+/// allows costs one box test instead of the 15 closest-feature tests.
+#[inline]
+pub fn tri_tri_dist2_below(t1: &Triangle, t2: &Triangle, bound: f64) -> f64 {
+    tri_tri_dist2_below_boxed(t1, &t1.aabb(), t2, bound)
+}
+
+/// [`tri_tri_dist2_below`] with `t1`'s box (`t1.aabb()`) computed once by
+/// the caller, for loops that pair one triangle with many.
+///
+/// The reject compares the squared box gap, each axis shrunk by
+/// [`BOX_GAP_SLACK`] of the pair's coordinate scale, with `bound`. Two
+/// kinds of pair are never rejected:
+/// * a pair whose shrunk gap is zero (overlapping or near-touching boxes),
+///   so a bound of zero still lets a touching pair score 0;
+/// * a pair [`tri_tri_intersect`] calls touching. Its contact tolerance is
+///   [`PLANE_EPS`](crate::eps::PLANE_EPS) along a plane normal but grows
+///   as `1 / sin` of the angle between near-parallel planes, and for a
+///   zero-area face it decides in a projection; [`tri_tri_dist2`] scores
+///   all of those 0, so this form must too. A pair the box rejects is
+///   cleared by a square-root-free plane-side test, or failing that by
+///   the predicate itself.
+#[inline]
+pub fn tri_tri_dist2_below_boxed(t1: &Triangle, box1: &Aabb, t2: &Triangle, bound: f64) -> f64 {
+    let box2 = t2.aabb();
+    let scale = box1
+        .lo
+        .abs()
+        .max(box1.hi.abs())
+        .max(box2.lo.abs())
+        .max(box2.hi.abs())
+        .max_component()
+        .max(1.0);
+    let gap = (box2.lo - box1.hi).max(box1.lo - box2.hi) - Vec3::splat(BOX_GAP_SLACK * scale);
+    let gap2 = gap.max(Vec3::ZERO).norm2();
+    // `t2` against `t1`'s plane: a loop over one `t1` hoists the normal.
+    if gap2 > 0.0 && gap2 >= bound && (beside_plane(t2, t1, scale) || !tri_tri_intersect(t1, t2)) {
+        return gap2;
+    }
+    tri_tri_dist2(t1, t2)
+}
+
 /// Distance between two triangles.
 #[inline]
 pub fn tri_tri_dist(t1: &Triangle, t2: &Triangle) -> f64 {
@@ -323,10 +368,9 @@ mod tests {
             vec3(3.0, 2.0, 1.0),
             vec3(2.0, 3.0, 1.0),
         );
-        let expect = (0.5f64 + 0.5 + 1.0).sqrt(); // (1,1,0) -> (2,2,1) minus hypotenuse geometry
-                                                  // Closest pair: point (1,1,0) on hypotenuse and vertex (2,2,1): dist = sqrt(1+1+1)
-        let _ = expect;
-        assert!((tri_tri_dist(&t1, &t2) - 3f64.sqrt()).abs() < 1e-9);
+        // Closest pair: (1,1,0) on t1's hypotenuse and t2's vertex (2,2,1),
+        // so d = √(1² + 1² + 1²) = √3.
+        assert!((tri_tri_dist(&t1, &t2) - 3f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -24,6 +24,20 @@ pub const ABS_EPS: f64 = 1e-9;
 /// Default relative tolerance for [`approx_eq`].
 pub const REL_EPS: f64 = 1e-12;
 
+/// Contact tolerance of [`crate::tri_tri_intersect`]: a vertex closer than
+/// `PLANE_EPS · max(1, |v|)` to the other triangle's plane counts as lying
+/// on it, so a pair that close may be scored as touching.
+pub const PLANE_EPS: f64 = 1e-12;
+
+/// Slack of [`crate::distance::tri_tri_dist2_below`]'s box-gap reject: the
+/// gap between two triangles' boxes is shrunk on every axis by
+/// `BOX_GAP_SLACK · max(1, largest |coordinate| of either box)` before it is
+/// compared with the bound. The closest points the 15 feature tests compute
+/// can stray outside their triangle's box by a few ulps of that scale; the
+/// slack is ~10⁶ ulps, so rounding never lifts the reject over a pair that
+/// would beat the bound.
+pub const BOX_GAP_SLACK: f64 = 1e-9;
+
 /// Bit-exact zero test (`x == 0.0`, matching both `+0.0` and `-0.0`).
 ///
 /// Use when the value is zero by construction (degenerate cross product,

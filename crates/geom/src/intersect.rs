@@ -6,13 +6,9 @@
 //! two polyhedra intersect iff any face pair intersects or one contains the
 //! other (paper §4.1).
 
-use crate::eps::is_exactly_zero;
+use crate::eps::{is_exactly_zero, PLANE_EPS};
 use crate::tri::Triangle;
 use crate::vec3::Vec3;
-
-/// Tolerance for classifying a vertex as lying on the other triangle's
-/// plane. Scaled by the magnitude of the inputs at use sites.
-const PLANE_EPS: f64 = 1e-12;
 
 /// Result of casting a ray against a triangle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,10 +119,8 @@ pub fn point_in_triangle_coplanar(x: Vec3, tri: &Triangle, eps: f64) -> bool {
 #[must_use]
 pub fn tri_tri_intersect(t1: &Triangle, t2: &Triangle) -> bool {
     // Plane of t2.
-    let n2 = t2.scaled_normal();
-    let d2 = -n2.dot(t2.a);
+    let (n2, du) = plane_offsets(t1, t2);
     let scale2 = n2.norm().max(1e-300);
-    let du = [n2.dot(t1.a) + d2, n2.dot(t1.b) + d2, n2.dot(t1.c) + d2];
     let eps1 = PLANE_EPS
         * scale2
         * t1.vertices()
@@ -146,10 +140,8 @@ pub fn tri_tri_intersect(t1: &Triangle, t2: &Triangle) -> bool {
     }
 
     // Plane of t1.
-    let n1 = t1.scaled_normal();
-    let d1 = -n1.dot(t1.a);
+    let (n1, dv) = plane_offsets(t2, t1);
     let scale1 = n1.norm().max(1e-300);
-    let dv = [n1.dot(t2.a) + d1, n1.dot(t2.b) + d1, n1.dot(t2.c) + d1];
     let eps2 = PLANE_EPS
         * scale1
         * t2.vertices()
@@ -189,6 +181,29 @@ pub fn tri_tri_intersect(t1: &Triangle, t2: &Triangle) -> bool {
         // checks this means it lies exactly in it) — treat via coplanar path.
         _ => coplanar_tri_tri(t1, t2, n1),
     }
+}
+
+/// `t2`'s scaled normal `n`, and the offsets of `t1`'s corners from `t2`'s
+/// plane in units of `1 / |n|`, before any contact clamp.
+#[inline]
+fn plane_offsets(t1: &Triangle, t2: &Triangle) -> (Vec3, [f64; 3]) {
+    let n = t2.scaled_normal();
+    let d = -n.dot(t2.a);
+    (n, [n.dot(t1.a) + d, n.dot(t1.b) + d, n.dot(t1.c) + d])
+}
+
+/// A square-root-free sufficient condition for `!tri_tri_intersect(t1,
+/// t2)`: every corner of `t1` lies on the same side of `t2`'s plane,
+/// farther from it than the contact clamp `tri_tri_intersect` applies.
+/// `scale` must be at least `max(1, |c|)` over `t1`'s coordinates `c`.
+#[inline]
+#[must_use]
+pub(crate) fn beside_plane(t1: &Triangle, t2: &Triangle, scale: f64) -> bool {
+    let (n, du) = plane_offsets(t1, t2);
+    // Over-estimates `eps1` there: |n|₁ ≥ |n|, √3 · scale ≥ max(1, |v|),
+    // and a factor of 2 absorbs the rounding of both products.
+    let eps = 4.0 * PLANE_EPS * (n.x.abs() + n.y.abs() + n.z.abs()).max(1e-300) * scale;
+    du.iter().all(|&d| d > eps) || du.iter().all(|&d| d < -eps)
 }
 
 #[inline]

@@ -22,7 +22,10 @@ pub mod vec3;
 
 pub use aabb::{Aabb, DistRange};
 pub use containment::{mesh_surface_area, mesh_volume, point_in_mesh};
-pub use distance::{tri_tri_dist, tri_tri_dist2, tri_tri_dist2_disjoint};
+pub use distance::{
+    tri_tri_dist, tri_tri_dist2, tri_tri_dist2_below, tri_tri_dist2_below_boxed,
+    tri_tri_dist2_disjoint,
+};
 pub use eps::{approx_eq, approx_zero, is_exactly, is_exactly_zero};
 pub use intersect::{aabb_triangle, ray_triangle, segment_triangle, tri_tri_intersect, RayHit};
 pub use ivec::{ivec3, orient3d, IVec3, Orientation, MAX_EXACT_COORD};

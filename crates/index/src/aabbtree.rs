@@ -4,7 +4,7 @@
 //! detection and distance calculation.
 
 use std::sync::Arc;
-use tripro_geom::{tri_tri_dist2, tri_tri_intersect, Aabb, Triangle};
+use tripro_geom::{tri_tri_dist2_below_boxed, tri_tri_intersect, Aabb, Triangle};
 
 const LEAF_SIZE: usize = 4;
 
@@ -193,7 +193,8 @@ impl AabbTree {
     /// Minimum squared distance between the two triangle sets, by best-first
     /// branch-and-bound on node-pair MINDIST. `upper` optionally seeds the
     /// bound (pass `f64::INFINITY` for an exact minimum); the traversal also
-    /// short-circuits to 0 on contact.
+    /// short-circuits to 0 on contact. Leaf face pairs are scored under the
+    /// running best, so a pair whose boxes cannot beat it is a box test.
     pub fn min_dist2_tree(&self, other: &AabbTree, upper: f64, tests: &mut u64) -> f64 {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
@@ -227,9 +228,12 @@ impl AabbTree {
             match (&na.kind, &nb.kind) {
                 (NodeKind::Leaf { start: s1, end: e1 }, NodeKind::Leaf { start: s2, end: e2 }) => {
                     for &i in &self.order[*s1 as usize..*e1 as usize] {
+                        let x = &self.tris[i as usize];
+                        let x_box = x.aabb();
                         for &j in &other.order[*s2 as usize..*e2 as usize] {
                             *tests += 1;
-                            let d2 = tri_tri_dist2(&self.tris[i as usize], &other.tris[j as usize]);
+                            let d2 =
+                                tri_tri_dist2_below_boxed(x, &x_box, &other.tris[j as usize], best);
                             if d2 < best {
                                 best = d2;
                                 if tripro_geom::is_exactly_zero(best) {
@@ -313,7 +317,7 @@ impl AabbTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tripro_geom::{vec3, Vec3};
+    use tripro_geom::{tri_tri_dist2, vec3, Vec3};
 
     /// A z=constant square grid of triangles covering [0,n]×[0,n].
     fn sheet(n: usize, z: f64) -> Vec<Triangle> {

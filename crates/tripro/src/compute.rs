@@ -7,13 +7,17 @@
 //! width 1 and at the device width; Partition and Partition+GPU feed it the
 //! face pairs of the group pairs a box walk keeps, flushing every group
 //! pair at width 1, or every [`KERNEL_SIZE`] pairs at the device width.
+//!
+//! Distance scores a face pair with `tri_tri_dist2_below_boxed` under the
+//! launch's running minimum: a pair whose boxes cannot beat it costs a box
+//! test, not the 15 closest-feature tests. It still counts as tested.
 
 use crate::cache::LodData;
 use crate::gpu::{self, Pairs, KERNEL_SIZE};
 use crate::partition::GroupedFaces;
 use crate::stats::ExecStats;
 use std::time::Instant;
-use tripro_geom::{is_exactly_zero, tri_tri_dist2, Triangle, Vec3};
+use tripro_geom::{is_exactly_zero, tri_tri_dist2_below_boxed, Aabb, Triangle, Vec3};
 
 /// Intra-geometry acceleration strategy (the columns of Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,7 +123,13 @@ impl Computer {
             let d2 = a.tree().min_dist2_tree(b.tree(), upper, &mut n);
             (d2, n)
         } else {
-            self.launch((a, sk_a), (b, sk_b), upper, tri_tri_dist2, by_distance)
+            self.launch(
+                (a, sk_a),
+                (b, sk_b),
+                upper,
+                tri_tri_dist2_below_boxed,
+                by_distance,
+            )
         };
         stats.add_face_pairs(tests);
         stats.add_compute(t0.elapsed());
@@ -137,7 +147,7 @@ impl Computer {
         group_pairs: GroupPairs,
     ) -> (f64, u64)
     where
-        F: Fn(&Triangle, &Triangle) -> f64 + Sync + Copy,
+        F: Fn(&Triangle, &Aabb, &Triangle, f64) -> f64 + Sync + Copy,
     {
         let (ta, tb) = (&a.triangles[..], &b.triangles[..]);
         let (width, flush) = match self.accel {

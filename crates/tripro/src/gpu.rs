@@ -18,7 +18,7 @@
 //! caller included.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use tripro_geom::{is_exactly_zero, tri_tri_intersect, Triangle};
+use tripro_geom::{is_exactly_zero, tri_tri_intersect, Aabb, Triangle};
 
 /// Number of face pairs evaluated per simulated kernel launch.
 pub const KERNEL_SIZE: usize = 8192;
@@ -33,8 +33,9 @@ pub(crate) enum Pairs<'p> {
 }
 
 /// Per-pair score of the intersection kernel: zero on a hit, so the
-/// launch's zero short-circuit is intersection's early exit.
-pub(crate) fn hit_score(x: &Triangle, y: &Triangle) -> f64 {
+/// launch's zero short-circuit is intersection's early exit. It has no
+/// use for the first face's box or the running bound.
+pub(crate) fn hit_score(x: &Triangle, _: &Aabb, y: &Triangle, _: f64) -> f64 {
     if tri_tri_intersect(x, y) {
         0.0
     } else {
@@ -46,12 +47,21 @@ pub(crate) fn hit_score(x: &Triangle, y: &Triangle) -> f64 {
 /// claimed by up to `width` pool participants. `upper` seeds the running
 /// minimum; a zero score stops every participant at its next claim.
 /// Returns `(min(upper, minimum score), pairs_tested)`.
+///
+/// `score(x, x.aabb(), y, bound)` must return the pair's exact score when
+/// that is below `bound`, and anything `≥ bound` otherwise; every pair it
+/// is called on counts as tested. The bound is the best score this
+/// launch knows of: the shared minimum when the chunk was claimed, lowered
+/// by the chunk's own finds. A cross-product chunk walks row by row,
+/// computing each `a` face's box once.
 // ORDERING: every atomic here is Relaxed on purpose — `stop` and the claim
 // counter are advisory early-exit/work-claiming hints with no data
 // published under them, `best_bits` is a monotone minimum maintained by a
 // CAS loop that re-validates against the current value, and the pool's
 // `run_with` join is the happens-before edge that makes all results
-// visible to the caller.
+// visible to the caller. The load of `best_bits` at a claim may be stale:
+// the minimum only falls, so a stale value is still ≥ the final answer and
+// still a sound bound — it only rejects fewer pairs.
 pub(crate) fn launch<F>(
     a: &[Triangle],
     b: &[Triangle],
@@ -61,7 +71,7 @@ pub(crate) fn launch<F>(
     score: F,
 ) -> (f64, u64)
 where
-    F: Fn(&Triangle, &Triangle) -> f64 + Sync,
+    F: Fn(&Triangle, &Aabb, &Triangle, f64) -> f64 + Sync,
 {
     let total = match pairs {
         Pairs::Cross => a.len() * b.len(),
@@ -84,32 +94,39 @@ where
             return;
         }
         let range = k * KERNEL_SIZE..((k + 1) * KERNEL_SIZE).min(total);
-        let mut local_best = f64::INFINITY;
+        // The bound starts at the shared minimum, so a score at or above it
+        // leaves the chunk's best as it was.
+        let mut local_best = f64::from_bits(best_bits.load(Ordering::Relaxed));
         let mut local = 0u64;
         // `true` once this pair scores zero: nothing can beat it.
-        let mut eval = |x: &Triangle, y: &Triangle| {
+        let mut eval = |x: &Triangle, x_box: &Aabb, y: &Triangle| {
             local += 1;
-            let s = score(x, y);
-            if s < local_best {
-                local_best = s;
-                if is_exactly_zero(s) {
-                    stop.store(true, Ordering::Relaxed);
-                    return true;
-                }
+            let s = score(x, x_box, y, local_best);
+            local_best = local_best.min(s);
+            if is_exactly_zero(s) {
+                stop.store(true, Ordering::Relaxed);
+                return true;
             }
             false
         };
         match pairs {
             Pairs::Cross => {
-                for idx in range {
-                    if eval(&a[idx / b.len()], &b[idx % b.len()]) {
-                        break;
+                let n = b.len();
+                let first = range.start / n;
+                'rows: for (i, x) in (first..).zip(&a[first..range.end.div_ceil(n)]) {
+                    let row = i * n;
+                    let x_box = x.aabb();
+                    for y in &b[range.start.max(row) - row..range.end.min(row + n) - row] {
+                        if eval(x, &x_box, y) {
+                            break 'rows;
+                        }
                     }
                 }
             }
             Pairs::Packed(p) => {
                 for &(i, j) in &p[range] {
-                    if eval(&a[i as usize], &b[j as usize]) {
+                    let x = &a[i as usize];
+                    if eval(x, &x.aabb(), &b[j as usize]) {
                         break;
                     }
                 }
@@ -142,7 +159,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tripro_geom::{tri_tri_dist2, vec3};
+    use tripro_geom::{tri_tri_dist2, tri_tri_dist2_below_boxed as dist2, vec3};
 
     fn sheet(n: usize, z: f64) -> Vec<Triangle> {
         let mut tris = Vec::new();
@@ -194,7 +211,7 @@ mod tests {
             .iter()
             .flat_map(|x| b.iter().map(move |y| tri_tri_dist2(x, y)))
             .fold(f64::INFINITY, f64::min);
-        let (d2, _) = launch(&a, &b, Pairs::Cross, 4, f64::INFINITY, tri_tri_dist2);
+        let (d2, _) = launch(&a, &b, Pairs::Cross, 4, f64::INFINITY, dist2);
         assert!((d2 - brute).abs() < 1e-12);
         assert!((d2 - 6.25).abs() < 1e-12);
     }
@@ -202,7 +219,7 @@ mod tests {
     #[test]
     fn min_dist_zero_short_circuits() {
         let a = sheet(4, 0.0);
-        let (d2, _) = launch(&a, &a, Pairs::Cross, 2, f64::INFINITY, tri_tri_dist2);
+        let (d2, _) = launch(&a, &a, Pairs::Cross, 2, f64::INFINITY, dist2);
         assert_eq!(d2, 0.0);
     }
 
@@ -211,7 +228,7 @@ mod tests {
         let a = sheet(3, 0.0);
         let b = sheet(3, 10.0);
         // True d2 = 100; a seed of 50 stays (nothing improves it).
-        let (d2, _) = launch(&a, &b, Pairs::Cross, 2, 50.0, tri_tri_dist2);
+        let (d2, _) = launch(&a, &b, Pairs::Cross, 2, 50.0, dist2);
         assert_eq!(d2, 50.0);
     }
 
@@ -223,21 +240,21 @@ mod tests {
             .flat_map(|i| (0..b.len() as u32).map(move |j| (i, j)))
             .collect();
         let packed = Pairs::Packed(&all);
-        let (d2, n) = launch(&a, &b, packed, 3, f64::INFINITY, tri_tri_dist2);
+        let (d2, n) = launch(&a, &b, packed, 3, f64::INFINITY, dist2);
         assert!((d2 - 4.0).abs() < 1e-12);
         assert_eq!(n, all.len() as u64);
         assert!(!hits(&a, &b, packed, 3).0);
         assert!(hits(&a, &a, Pairs::Packed(&all[..5]), 3).0);
         // Empty buffers.
         let empty = Pairs::Packed(&[]);
-        assert_eq!(launch(&a, &b, empty, 3, 7.0, tri_tri_dist2), (7.0, 0));
+        assert_eq!(launch(&a, &b, empty, 3, 7.0, dist2), (7.0, 0));
         assert_eq!(hits(&a, &b, empty, 3), (false, 0));
     }
 
     #[test]
     fn empty_inputs() {
         assert_eq!(hits(&[], &sheet(2, 0.0), Pairs::Cross, 2), (false, 0));
-        let (d2, n) = launch(&sheet(2, 0.0), &[], Pairs::Cross, 2, 3.0, tri_tri_dist2);
+        let (d2, n) = launch(&sheet(2, 0.0), &[], Pairs::Cross, 2, 3.0, dist2);
         assert_eq!((d2, n), (3.0, 0));
     }
 }

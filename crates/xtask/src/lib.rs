@@ -28,6 +28,7 @@
 pub mod conc;
 pub mod lexer;
 pub mod rules;
+pub mod test_time;
 
 use rules::{lint_source, Diagnostic, Rule};
 use std::path::{Path, PathBuf};

@@ -5,6 +5,8 @@
 //!   workspace source file; exits 1 if any diagnostic is produced.
 //! * `lint --list` — print the rule set and scoping, then exit 0.
 //! * `lint --explain <rule>` — print one rule's rationale, then exit 0.
+//! * `test-time` — run every suite of `cargo test -q` and print each one's
+//!   wall time, slowest first, and the total; exits 1 if any suite fails.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -90,8 +92,17 @@ fn main() -> ExitCode {
                 }
             }
         }
+        Some("test-time") => match xtask::test_time::run(&workspace_root()) {
+            Ok(true) => ExitCode::SUCCESS,
+            Ok(false) => ExitCode::FAILURE,
+            Err(e) => {
+                eprintln!("xtask test-time: {e}");
+                ExitCode::FAILURE
+            }
+        },
         _ => {
             eprintln!("usage: cargo xtask lint [--list | --explain <rule>]");
+            eprintln!("       cargo xtask test-time");
             ExitCode::FAILURE
         }
     }

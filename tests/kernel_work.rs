@@ -117,6 +117,51 @@ const WORK: &[&str] = &[
     "far_loose PartitionGpu intersects=false (0) min_dist2=100.0 (8349)",
 ];
 
+/// A sheet rising towards its last face, under a flat sheet: the one
+/// closest pair is the last face of each, so in the cross product it is the
+/// last pair of the last `KERNEL_SIZE` launch and every earlier launch
+/// finishes with a worse minimum.
+fn last_launch() -> Fixture {
+    let a = grid(12, |x, y| vec3(x, y, 0.25 * x + 0.0625 * y));
+    let b = grid(12, |x, y| vec3(x, y, 4.75));
+    fixture("last_launch", a, b, f64::INFINITY)
+}
+
+/// `(intersects, min_dist2)` of one strategy at one width.
+fn answers(f: &Fixture, accel: Accel, width: usize) -> (bool, f64) {
+    let c = Computer::new(accel, width);
+    let stats = ExecStats::new();
+    (
+        c.intersects(&f.a, &f.b, &f.sk_a, &f.sk_b, &stats),
+        c.min_dist2(&f.a, &f.b, &f.sk_a, &f.sk_b, f.upper, &stats),
+    )
+}
+
+#[test]
+fn device_width_answers_equal_width_one() {
+    let last = last_launch();
+    let pairs = last.a.triangles.len() * last.b.triangles.len();
+    assert!(pairs > KERNEL_SIZE, "the cross product must span launches");
+    assert_eq!(
+        answers(&last, Accel::Brute, 1),
+        (false, 1.0),
+        "the closest pair is the last face of each sheet, exactly 1 apart"
+    );
+    // The shared minimum a launch reads when it claims a chunk depends on
+    // which participant finished first; counts race at width > 1, the
+    // answers must not.
+    for f in fixtures().iter().chain([&last]) {
+        for accel in [Accel::Gpu, Accel::PartitionGpu] {
+            let (hit1, d1) = answers(f, accel, 1);
+            for _ in 0..4 {
+                let (hit4, d4) = answers(f, accel, 4);
+                assert_eq!(hit4, hit1, "{} {accel:?} intersects", f.name);
+                assert_eq!(d4.to_bits(), d1.to_bits(), "{} {accel:?} min_dist2", f.name);
+            }
+        }
+    }
+}
+
 #[test]
 fn kernel_work_per_strategy_is_unchanged() {
     let mut got = Vec::new();
