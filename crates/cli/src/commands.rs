@@ -542,7 +542,6 @@ pub fn trace(a: &Parsed) -> Result<(), CliError> {
         enabled: true,
         slow_threshold: std::time::Duration::from_millis(slow_ms),
         keep,
-        ..Default::default()
     });
     obs::tracer().clear_slow_log();
 

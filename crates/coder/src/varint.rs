@@ -103,11 +103,6 @@ impl<'a> ByteReader<'a> {
         Ok(unzigzag(self.read_u64()?))
     }
 
-    pub fn read_u32(&mut self) -> Result<u32, DecodeError> {
-        let v = self.read_u64()?;
-        u32::try_from(v).map_err(|_| DecodeError)
-    }
-
     pub fn read_usize(&mut self) -> Result<usize, DecodeError> {
         let v = self.read_u64()?;
         usize::try_from(v).map_err(|_| DecodeError)

@@ -1,10 +1,9 @@
 //! # tripro-geom
 //!
 //! Geometry kernel for the 3DPro reproduction: floating-point vectors,
-//! axis-aligned bounding boxes and k-DOPs, triangle primitives,
-//! intersection predicates, distance computations, exact integer
-//! orientation tests on the quantisation grid, and point-in-polyhedron
-//! containment.
+//! axis-aligned bounding boxes, triangle primitives, intersection
+//! predicates, distance computations, exact integer orientation tests on
+//! the quantisation grid, and point-in-polyhedron containment.
 //!
 //! Everything in this crate is dependency-free and deterministic; it is the
 //! substrate under the mesh compressor (`tripro-mesh`), the spatial indexes
@@ -16,7 +15,6 @@ pub mod distance;
 pub mod eps;
 pub mod intersect;
 pub mod ivec;
-pub mod kdop;
 pub mod tri;
 pub mod vec3;
 
@@ -29,6 +27,5 @@ pub use distance::{
 pub use eps::{approx_eq, approx_zero, is_exactly, is_exactly_zero};
 pub use intersect::{aabb_triangle, ray_triangle, segment_triangle, tri_tri_intersect, RayHit};
 pub use ivec::{ivec3, orient3d, IVec3, Orientation, MAX_EXACT_COORD};
-pub use kdop::{directions as kdop_directions, Kdop};
 pub use tri::Triangle;
 pub use vec3::{vec3, Vec3};

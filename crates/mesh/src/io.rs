@@ -168,20 +168,23 @@ pub fn parse_off(reader: impl BufRead) -> Result<TriMesh, IoError> {
     let nv = parse_usize(next("vertex count")?)?;
     let nf = parse_usize(next("face count")?)?;
     let _ne = parse_usize(next("edge count")?)?;
-    let mut vertices = Vec::with_capacity(nv);
+    // Reserve no more than the tokens can fill (3 per vertex, at least 4
+    // per face), so a lying header cannot size an allocation.
+    let left = tokens.len();
+    let mut vertices = Vec::with_capacity(nv.min(left / 3));
     for _ in 0..nv {
         let x = parse_f64(next("x")?)?;
         let y = parse_f64(next("y")?)?;
         let z = parse_f64(next("z")?)?;
         vertices.push(vec3(x, y, z));
     }
-    let mut faces = Vec::with_capacity(nf);
+    let mut faces = Vec::with_capacity(nf.min(left / 4));
     for _ in 0..nf {
         let k = parse_usize(next("face arity")?)?;
         if k < 3 {
             return Err(IoError::Parse(0, format!("face arity {k} < 3")));
         }
-        let mut idx = Vec::with_capacity(k);
+        let mut idx = Vec::with_capacity(k.min(left));
         for _ in 0..k {
             let (l, t) = next("face index")?;
             let i: usize = t
@@ -309,6 +312,12 @@ f 1/1/1 2/2/1 3/3/1 4/4/1
             parse_obj(Cursor::new("v 1 2 3\nf 1 2\n")).is_err(),
             "short face"
         );
+    }
+
+    #[test]
+    fn off_lying_header_is_a_parse_error() {
+        let err = parse_off(Cursor::new("OFF\n4611686018427387904 1 0")).unwrap_err();
+        assert!(matches!(err, IoError::Parse(..)), "{err}");
     }
 
     #[test]

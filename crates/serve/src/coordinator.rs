@@ -32,7 +32,7 @@
 //! whose route includes a backend with too many sub-queries in flight is
 //! shed with a `retry_after_ms` hint derived from the most-loaded shard.
 //! Sub-queries carry the residual request deadline (capped by
-//! `sub_query_cap` even for unbounded requests) and per-backend socket
+//! `SUB_QUERY_CAP` even for unbounded requests) and per-backend socket
 //! timeouts, so a dead or fault-injected shard degrades to a typed error
 //! — or a partial result for kNN when `allow_partial` is set — never a
 //! hang. Failure of one sub-query cancels the not-yet-dispatched rest.
@@ -53,6 +53,10 @@ use tripro::sync::{lock, Mutex};
 use tripro::{Deadline, ObjectStore, ServiceSnapshot, TraceConfig};
 use tripro_geom::{Aabb, Vec3};
 
+/// Hard per-attempt bound on any sub-query round trip, applied even when
+/// the client asked for no deadline — the "no hang" guarantee.
+const SUB_QUERY_CAP: Duration = Duration::from_secs(10);
+
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
@@ -72,17 +76,9 @@ pub struct CoordinatorConfig {
     /// Server-side cap on per-request deadlines (same semantics as
     /// [`ServeConfig::deadline_cap`](crate::ServeConfig)).
     pub deadline_cap: Option<Duration>,
-    /// Hard per-attempt bound on any sub-query round trip, applied even
-    /// when the client asked for no deadline — the "no hang" guarantee.
-    pub sub_query_cap: Duration,
     /// Answer kNN queries with a partial-flagged result when a shard
     /// fails, instead of a typed error.
     pub allow_partial: bool,
-    /// Read-timeout granularity at which blocked connection readers poll
-    /// the shutdown flag.
-    pub poll_interval: Duration,
-    /// Retry/backoff policy for backend connections.
-    pub retry: RetryPolicy,
     /// Span-tracing configuration applied at startup.
     pub trace: TraceConfig,
 }
@@ -97,10 +93,7 @@ impl Default for CoordinatorConfig {
             per_shard_budget: 64,
             max_connections: 256,
             deadline_cap: None,
-            sub_query_cap: Duration::from_secs(10),
             allow_partial: false,
-            poll_interval: Duration::from_millis(25),
-            retry: RetryPolicy::default(),
             trace: TraceConfig::default(),
         }
     }
@@ -192,7 +185,7 @@ impl Handler for Router {
         for (i, b) in self.backends.iter().enumerate() {
             let scraped = self.checkout(b, i as u32).and_then(|mut conn| {
                 let series = conn.raw().and_then(|c| {
-                    c.set_timeout(Some(self.cfg.sub_query_cap))?;
+                    c.set_timeout(Some(SUB_QUERY_CAP))?;
                     c.metrics()
                 })?;
                 lock(&b.idle).push(conn);
@@ -287,8 +280,10 @@ impl Router {
         // The residual deadline travels into every sub-query, capped so even
         // a no-deadline request cannot hang on a dead backend.
         let deadline_ms = {
-            let cap = self.cfg.sub_query_cap;
-            let d = q.deadline.remaining().map_or(cap, |r| r.min(cap));
+            let d = q
+                .deadline
+                .remaining()
+                .map_or(SUB_QUERY_CAP, |r| r.min(SUB_QUERY_CAP));
             d.as_millis().clamp(1, u128::from(u32::MAX) - 1) as u32
         };
         let req = match q.op {
@@ -411,7 +406,7 @@ impl Router {
         match pooled {
             Some(c) => Ok(c),
             None => {
-                let mut policy = self.cfg.retry.clone();
+                let mut policy = RetryPolicy::default();
                 // Distinct deterministic jitter stream per shard.
                 policy.seed = mix64(policy.seed ^ (u64::from(s) << 8));
                 RetryingClient::connect_as(b.addr, NodeRole::Coordinator, policy)
@@ -434,11 +429,11 @@ impl Router {
         };
         // Per-attempt socket timeout: slice the residual deadline across the
         // retry budget (a dead shard must fail every attempt *within* the
-        // request deadline), capped by `sub_query_cap` for unbounded asks.
-        let attempts = self.cfg.retry.max_retries + 1;
+        // request deadline), capped by `SUB_QUERY_CAP` for unbounded asks.
+        let attempts = RetryPolicy::default().max_retries + 1;
         let per_attempt = match deadline.remaining() {
-            Some(r) => (r.mul_f64(0.8) / attempts).min(self.cfg.sub_query_cap),
-            None => self.cfg.sub_query_cap,
+            Some(r) => (r.mul_f64(0.8) / attempts).min(SUB_QUERY_CAP),
+            None => SUB_QUERY_CAP,
         }
         .max(Duration::from_millis(5));
         // ORDERING: Relaxed — advisory budget counter (see `Backend::load`).
@@ -540,7 +535,6 @@ impl Coordinator {
             addr: cfg.addr.clone(),
             max_connections: cfg.max_connections,
             deadline_cap: cfg.deadline_cap,
-            poll_interval: cfg.poll_interval,
             trace: cfg.trace.clone(),
         };
         let router = Router {

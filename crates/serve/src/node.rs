@@ -39,12 +39,15 @@ use tripro::obs::{self, MetricSnapshot, SpanSummary};
 use tripro::sync::{lock, wait, Condvar, Mutex};
 use tripro::{Deadline, ServiceSnapshot, ServiceStats, TraceConfig};
 
+/// Read-timeout granularity at which blocked connection readers poll the
+/// shutdown flag.
+const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
 /// The listener settings both public configs carry.
 pub(crate) struct NodeConfig {
     pub addr: String,
     pub max_connections: usize,
     pub deadline_cap: Option<Duration>,
-    pub poll_interval: Duration,
     pub trace: TraceConfig,
 }
 
@@ -688,11 +691,11 @@ fn accept_loop<H: Handler>(node: &Arc<Node<H>>, listener: &TcpListener) {
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(node.cfg.poll_interval.min(Duration::from_millis(10)));
+                std::thread::sleep(Duration::from_millis(10));
             }
             Err(_) => {
                 // Transient accept failure (EMFILE etc.); back off briefly.
-                std::thread::sleep(node.cfg.poll_interval);
+                std::thread::sleep(POLL_INTERVAL);
             }
         }
     }
@@ -704,7 +707,7 @@ fn accept_loop<H: Handler>(node: &Arc<Node<H>>, listener: &TcpListener) {
 
 fn conn_loop<H: Handler>(node: &Arc<Node<H>>, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(node.cfg.poll_interval));
+    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let writer = match stream.try_clone() {
         Ok(w) => Arc::new(ConnWriter::new(w)),
         Err(_) => return,

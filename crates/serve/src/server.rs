@@ -68,19 +68,11 @@ pub struct ServeConfig {
     pub paradigm: Paradigm,
     /// Acceleration strategy for all requests.
     pub accel: Accel,
-    /// LOD ladder override (empty = every LOD).
-    pub lod_list: Vec<usize>,
-    /// Cuboid edge for batching; `None` derives one from the target extent
-    /// (same rule as the offline join driver).
-    pub cuboid_cell: Option<f64>,
     /// Artificial per-batch service time, injected while the executing slot
     /// is held. A load-testing knob: it makes overload and drain behaviour
     /// deterministic in tests and lets `tripro-load` probe admission
     /// control without a large dataset. `None` in production.
     pub inject_latency: Option<Duration>,
-    /// Read-timeout granularity at which blocked connection readers poll
-    /// the shutdown flag.
-    pub poll_interval: Duration,
     /// Span-tracing configuration applied to the process-wide tracer at
     /// startup. Disabled by default: registry metrics (and the `Metrics`
     /// frame) work regardless; this only gates per-request span capture
@@ -109,10 +101,7 @@ impl Default for ServeConfig {
             deadline_cap: None,
             paradigm: Paradigm::FilterProgressiveRefine,
             accel: Accel::Aabb,
-            lod_list: Vec::new(),
-            cuboid_cell: None,
             inject_latency: None,
-            poll_interval: Duration::from_millis(25),
             trace: TraceConfig::default(),
             shard: None,
             source_ids: None,
@@ -184,10 +173,8 @@ impl ShardEngine {
     /// to the global id space when this engine serves a shard partition.
     fn run(&self, q: &Query, stats: &ExecStats) -> Result<Reply, Error> {
         fault::failpoint(fault::SERVE_EXEC)?;
-        let mut qc = QueryConfig::new(self.cfg.paradigm, self.cfg.accel)
-            .with_lods(self.cfg.lod_list.clone())
-            .with_deadline(q.deadline.clone());
-        qc.cuboid_cell = self.cfg.cuboid_cell;
+        let qc =
+            QueryConfig::new(self.cfg.paradigm, self.cfg.accel).with_deadline(q.deadline.clone());
         let engine = Engine::new(&self.target, &self.source);
         let global = |ids: Vec<u32>| Reply::Ids {
             ids: ids.into_iter().map(|id| self.global_id(id)).collect(),
@@ -338,12 +325,10 @@ impl Server {
         source: Arc<ObjectStore>,
         cfg: ServeConfig,
     ) -> Result<Server, ServeError> {
-        // Precompute the object → cuboid map once; it is the batching key
-        // for every join request.
-        let cell = cfg.cuboid_cell.unwrap_or_else(|| {
-            let e = target.rtree().bounds().extent();
-            (e.max_component() / 4.0).max(1e-9)
-        });
+        // Precompute the object → cuboid map once, over the offline join
+        // driver's default cuboids; it is the batching key for every join
+        // request.
+        let cell = target.default_cell();
         let mut cuboid_of = vec![0u64; target.len()];
         for (gi, group) in target.cuboids(cell).iter().enumerate() {
             for &id in group {
@@ -356,7 +341,6 @@ impl Server {
             addr: cfg.addr.clone(),
             max_connections: cfg.max_connections,
             deadline_cap: cfg.deadline_cap,
-            poll_interval: cfg.poll_interval,
             trace: cfg.trace.clone(),
         };
         let engine = ShardEngine {

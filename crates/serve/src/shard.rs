@@ -52,12 +52,11 @@ impl ShardMap {
         }
     }
 
-    /// The default grid pitch for a target store — the same rule as
-    /// `Server::start`'s cuboid edge: a quarter of the largest extent.
+    /// The default grid pitch for a target store: its cuboid edge
+    /// ([`ObjectStore::default_cell`]).
     #[must_use]
     pub fn cell_for(target: &ObjectStore) -> f64 {
-        let e = target.rtree().bounds().extent();
-        (e.max_component() / 4.0).max(1e-9)
+        target.default_cell()
     }
 
     #[inline]

@@ -218,12 +218,6 @@ impl Histogram {
         self.quantile(0.50)
     }
 
-    /// 95th percentile.
-    #[must_use]
-    pub fn p95(&self) -> u64 {
-        self.quantile(0.95)
-    }
-
     /// 99th percentile.
     #[must_use]
     pub fn p99(&self) -> u64 {

@@ -298,14 +298,15 @@ impl TraceRecord {
     }
 }
 
-/// Tracing configuration. `Default` is disabled with a 4096-span ring, a
-/// 50ms slow threshold and the 8 worst requests retained.
+/// Capacity of the process-wide span ring (a power of two).
+const RING_CAPACITY: usize = 4096;
+
+/// Tracing configuration. `Default` is disabled with a 50ms slow threshold
+/// and the 8 worst requests retained; the span ring holds 4096 spans.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Master switch; when false every span entry point is a no-op stub.
     pub enabled: bool,
-    /// Ring-buffer capacity (rounded up to a power of two, min 64).
-    pub ring_capacity: usize,
     /// Requests at or above this total latency enter the slow log.
     pub slow_threshold: Duration,
     /// How many worst requests the slow log retains.
@@ -316,7 +317,6 @@ impl Default for TraceConfig {
     fn default() -> Self {
         Self {
             enabled: false,
-            ring_capacity: 4096,
             slow_threshold: Duration::from_millis(50),
             keep: 8,
         }
@@ -333,10 +333,9 @@ pub struct SpanRing {
 }
 
 impl SpanRing {
-    fn new(capacity: usize) -> Self {
-        let cap = capacity.max(64).next_power_of_two();
+    fn new() -> Self {
         Self {
-            slots: (0..cap).map(|_| Mutex::new(None)).collect(),
+            slots: (0..RING_CAPACITY).map(|_| Mutex::new(None)).collect(),
             cursor: AtomicUsize::new(0),
         }
     }
@@ -420,7 +419,7 @@ impl Tracer {
                 u64::try_from(cfg.slow_threshold.as_nanos()).unwrap_or(u64::MAX),
             ),
             epoch: Instant::now(),
-            ring: SpanRing::new(cfg.ring_capacity),
+            ring: SpanRing::new(),
             slow: Mutex::new(SlowLog {
                 keep: cfg.keep.max(1),
                 worst: Vec::new(),
@@ -428,9 +427,8 @@ impl Tracer {
         }
     }
 
-    /// Apply `cfg`'s switch, threshold and retention. The ring capacity is
-    /// fixed at first use (the default 4096) — documented limitation that
-    /// keeps the ring allocation-free after startup.
+    /// Apply `cfg`'s switch, threshold and retention. The ring is fixed at
+    /// `RING_CAPACITY` spans, so it stays allocation-free after startup.
     // ORDERING: Relaxed — the switch and threshold are advisory runtime
     // tuning; readers tolerate observing them out of order, and the span
     // payloads themselves are published by the slot mutexes, not by these
@@ -801,7 +799,6 @@ mod tests {
             enabled: true,
             slow_threshold: Duration::ZERO,
             keep: 4,
-            ..TraceConfig::default()
         });
         tracer().clear_slow_log();
         let r = f();

@@ -63,21 +63,7 @@ impl<'a> PointQuery<'a> {
             return Ok(false);
         }
         let top = self.store.max_lod(id);
-        let lods: Vec<usize> = match cfg.paradigm {
-            Paradigm::FilterRefine => vec![top],
-            Paradigm::FilterProgressiveRefine => {
-                let mut l: Vec<usize> = if cfg.lod_list.is_empty() {
-                    (0..=top).collect()
-                } else {
-                    cfg.lod_list.iter().cloned().filter(|&x| x <= top).collect()
-                };
-                if l.last() != Some(&top) {
-                    l.push(top);
-                }
-                l
-            }
-        };
-        for &lod in &lods {
+        for lod in cfg.ladder(top) {
             cfg.deadline.check()?;
             let _round = obs::span_at(SpanKind::RefineRound, id, lod as u32);
             stats.record_lod_round();
@@ -163,6 +149,23 @@ mod tests {
         let top = s.max_lod(0);
         let early: u64 = snap.pairs_pruned[..top].iter().sum();
         assert_eq!(early, 1, "centre must resolve below LOD {top}: {snap:?}");
+    }
+
+    #[test]
+    fn probe_walks_the_shared_ladder() {
+        let s = store();
+        let q = PointQuery::new(&s);
+        let top = s.max_lod(0);
+        assert!(top > 3, "the list below must sit under the top");
+        let cfg = QueryConfig::new(Paradigm::FilterProgressiveRefine, Accel::Brute)
+            .with_lods(vec![3, 1, 1]);
+        let stats = ExecStats::new();
+        // Inside the MBB's corner but outside the sphere: every rung runs.
+        let p = vec3(1.9, 1.9, 1.9);
+        assert!(s.mbb(0).contains_point(p));
+        assert!(!q.contains(0, p, &cfg, &stats).unwrap());
+        assert_eq!(cfg.ladder(top), vec![1, 3, top]);
+        assert_eq!(stats.snapshot().lod_rounds, cfg.ladder(top).len() as u64);
     }
 
     #[test]

@@ -116,18 +116,13 @@ pub struct QueryConfig {
     pub accel: Accel,
     /// Worker threads for the join driver (cuboid-level parallelism).
     pub threads: usize,
-    /// LODs the progressive refinement visits, ascending. Empty = every
-    /// LOD from 0 to the ladder top (§4.4/§6.5 discuss better choices).
+    /// LODs the progressive refinement visits (see [`QueryConfig::ladder`]).
+    /// Empty = every LOD from 0 to the ladder top (§4.4/§6.5 discuss
+    /// better choices).
     pub lod_list: Vec<usize>,
     /// Cuboid edge length for batched execution; `None` derives one from
     /// the target extent.
     pub cuboid_cell: Option<f64>,
-    /// Extension beyond the paper (see §2.2's *conservative* approximation
-    /// family): prune candidates with the precomputed 13-DOPs — reject
-    /// intersection candidates whose DOPs are disjoint, and tighten
-    /// distance lower bounds with DOP gaps. Off by default so the paper's
-    /// comparisons stay faithful.
-    pub conservative_prefilter: bool,
     /// Cooperative deadline/cancellation token. The refinement loop polls
     /// it between LOD rounds and bails with
     /// [`Error::DeadlineExceeded`](crate::Error::DeadlineExceeded), so an
@@ -144,14 +139,8 @@ impl QueryConfig {
             threads: 1,
             lod_list: Vec::new(),
             cuboid_cell: None,
-            conservative_prefilter: false,
             deadline: Deadline::none(),
         }
-    }
-
-    pub fn with_conservative_prefilter(mut self) -> Self {
-        self.conservative_prefilter = true;
-        self
     }
 
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -167,6 +156,31 @@ impl QueryConfig {
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {
         self.deadline = deadline;
         self
+    }
+
+    /// The LODs a query visits when `top` is full resolution: ascending,
+    /// deduplicated, clamped to `top` and ending at it. FR visits only
+    /// `top`. Joins pass the higher of both stores' tops, point probes the
+    /// probed object's own.
+    #[must_use]
+    pub fn ladder(&self, top: usize) -> Vec<usize> {
+        let mut lods = match self.paradigm {
+            Paradigm::FilterRefine => Vec::new(),
+            Paradigm::FilterProgressiveRefine if self.lod_list.is_empty() => (0..top).collect(),
+            Paradigm::FilterProgressiveRefine => {
+                let mut lods: Vec<usize> = self
+                    .lod_list
+                    .iter()
+                    .copied()
+                    .filter(|&lod| lod < top)
+                    .collect();
+                lods.sort_unstable();
+                lods.dedup();
+                lods
+            }
+        };
+        lods.push(top);
+        lods
     }
 }
 
@@ -381,38 +395,17 @@ impl<'a> Engine<'a> {
         Self { target, source }
     }
 
-    /// The LOD ladder a query under `cfg` visits, ascending and ending at
-    /// the ladder top.
-    fn lods(&self, cfg: &QueryConfig) -> Vec<usize> {
-        let top = self
-            .target
-            .max_lod_overall()
-            .max(self.source.max_lod_overall());
-        match cfg.paradigm {
-            Paradigm::FilterRefine => vec![top],
-            Paradigm::FilterProgressiveRefine => {
-                let mut lods = if cfg.lod_list.is_empty() {
-                    (0..=top).collect::<Vec<_>>()
-                } else {
-                    cfg.lod_list.clone()
-                };
-                lods.retain(|&l| l <= top);
-                lods.sort_unstable();
-                lods.dedup();
-                if lods.last() != Some(&top) {
-                    lods.push(top);
-                }
-                lods
-            }
-        }
-    }
-
     fn join_ctx(&self, cfg: &QueryConfig) -> JoinCtx {
         JoinCtx {
             // The GPU columns' launch width is independent of the join
             // driver's thread count: it models the device.
             computer: Computer::new(cfg.accel, crate::pool::device_width()),
-            lods: self.lods(cfg),
+            // Every object of both stores is at full resolution at the top.
+            lods: cfg.ladder(
+                self.target
+                    .max_lod_overall()
+                    .max(self.source.max_lod_overall()),
+            ),
             deadline: cfg.deadline.clone(),
             fpr: matches!(cfg.paradigm, Paradigm::FilterProgressiveRefine),
         }
@@ -530,7 +523,7 @@ impl<'a> Engine<'a> {
         // Filter: MBB intersection against the global index. With the
         // partition strategies the finer sub-object boxes filter instead.
         let pairs = filter(stats, || {
-            let mut candidates = match cfg.accel {
+            let candidates = match cfg.accel {
                 Accel::Partition | Accel::PartitionGpu => {
                     let mut c = self.source.partition_rtree().query_intersects(tm);
                     c.sort_unstable();
@@ -539,10 +532,6 @@ impl<'a> Engine<'a> {
                 }
                 _ => self.source.rtree().query_intersects(tm),
             };
-            if cfg.conservative_prefilter {
-                let kt = &self.target.object(t).kdop;
-                candidates.retain(|&c| kt.intersects(&self.source.object(c).kdop));
-            }
             candidates
                 .into_iter()
                 .map(|c| (c, tm.dist_range(self.source.mbb(c))))
@@ -606,12 +595,6 @@ impl<'a> Engine<'a> {
             // Objects proven within by MBB bounds alone need no geometry.
             let mut results = filtered.definite;
             let mut candidates = filtered.candidates;
-            if cfg.conservative_prefilter {
-                // §2.2 conservative rejection: a 13-DOP gap exceeding `d`
-                // proves the objects are farther than `d` apart.
-                let kt = &self.target.object(t).kdop;
-                candidates.retain(|&c| kt.min_dist(&self.source.object(c).kdop) <= d);
-            }
             // The partition strategies re-examine candidates with the finer
             // sub-object boxes (§5.1): the min-over-groups MAXDIST can prove
             // "within" and the min-over-groups MINDIST can disprove it, both
@@ -680,12 +663,6 @@ impl<'a> Engine<'a> {
                     if let Some(g) = self.group_range(*c, tm) {
                         *r = g;
                     }
-                }
-            }
-            if cfg.conservative_prefilter {
-                let kt = &self.target.object(t).kdop;
-                for (c, r) in &mut pairs {
-                    r.min = r.min.max(kt.min_dist(&self.source.object(*c).kdop));
                 }
             }
             pairs
@@ -815,10 +792,9 @@ impl<'a> Engine<'a> {
     ) -> Result<(Vec<(ObjectId, R)>, ExecStats)> {
         let stats = ExecStats::new();
         let ctx = self.join_ctx(cfg);
-        let cell = cfg.cuboid_cell.unwrap_or_else(|| {
-            let e = self.target.rtree().bounds().extent();
-            (e.max_component() / 4.0).max(1e-9)
-        });
+        let cell = cfg
+            .cuboid_cell
+            .unwrap_or_else(|| self.target.default_cell());
         let cuboids = self.target.cuboids(cell);
         let next = std::sync::atomic::AtomicUsize::new(0);
         // LOCK-RANK(80): per-drive result accumulator — a leaf below the
@@ -1003,47 +979,14 @@ mod tests {
         let engine = Engine::new(&t, &s);
         let cfg =
             QueryConfig::new(Paradigm::FilterProgressiveRefine, Accel::Brute).with_lods(vec![1, 3]);
-        let lods = engine.lods(&cfg);
+        let lods = engine.join_ctx(&cfg).lods;
         let top = t.max_lod_overall().max(s.max_lod_overall());
+        assert_eq!(lods, cfg.ladder(top));
         assert_eq!(*lods.last().unwrap(), top);
         assert!(lods.contains(&1));
         // FR ignores the list entirely.
         let fr = QueryConfig::new(Paradigm::FilterRefine, Accel::Brute).with_lods(vec![0, 1]);
-        assert_eq!(engine.lods(&fr), vec![top]);
-    }
-
-    #[test]
-    fn conservative_prefilter_preserves_results_and_prunes() {
-        let (t, s) = setup();
-        let engine = Engine::new(&t, &s);
-        for accel in [Accel::Brute, Accel::Partition] {
-            let plain = QueryConfig::new(Paradigm::FilterProgressiveRefine, accel);
-            let dop = plain.clone().with_conservative_prefilter();
-
-            let (i1, _) = engine.intersection_join(&plain).unwrap();
-            let (i2, _) = engine.intersection_join(&dop).unwrap();
-            assert_eq!(i1, i2, "{accel:?} intersection");
-
-            let (w1, _) = engine.within_join(0.5, &plain).unwrap();
-            let (w2, _) = engine.within_join(0.5, &dop).unwrap();
-            assert_eq!(w1, w2, "{accel:?} within");
-
-            let (n1, _) = engine.nn_join(&plain).unwrap();
-            let (n2, _) = engine.nn_join(&dop).unwrap();
-            assert_eq!(n1, n2, "{accel:?} nn");
-        }
-        // The DOP bound must never exceed the true distance: compare the
-        // kdop gap against the MBB MINDIST for every store pair.
-        for a in 0..t.len() as u32 {
-            for b in 0..s.len() as u32 {
-                let dop_gap = t.object(a).kdop.min_dist(&s.object(b).kdop);
-                let mbb_gap = t.mbb(a).min_dist(s.mbb(b));
-                assert!(
-                    dop_gap >= mbb_gap - 1e-9,
-                    "13 directions include the 3 axes, so the DOP bound dominates"
-                );
-            }
-        }
+        assert_eq!(engine.join_ctx(&fr).lods, vec![top]);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::partition::{default_skeleton_size, group_faces, sample_skeleton};
 use crate::stats::ExecStats;
 use crate::sync::lock;
 use std::sync::Arc;
-use tripro_geom::{vec3, Aabb, Kdop, Vec3};
+use tripro_geom::{vec3, Aabb, Vec3};
 use tripro_index::RTree;
 use tripro_mesh::{CompressedMesh, EncoderConfig, MeshError, TriMesh};
 
@@ -28,9 +28,6 @@ pub struct StoredObject {
     /// Boxes of the skeleton groups at full resolution — indexed in the
     /// partition R-tree for finer filtering.
     pub group_boxes: Vec<Aabb>,
-    /// 13-direction conservative approximation of the full-resolution
-    /// object (§2.2's conservative family): tighter rejection than the MBB.
-    pub kdop: Kdop,
     /// Full-resolution face count (for cost accounting).
     pub full_faces: usize,
 }
@@ -207,6 +204,12 @@ impl ObjectStore {
         self.objects.iter().map(|o| o.full_faces).sum()
     }
 
+    /// The default cuboid edge: a quarter of the store's largest extent.
+    #[must_use]
+    pub fn default_cell(&self) -> f64 {
+        (self.rtree().bounds().extent().max_component() / 4.0).max(1e-9)
+    }
+
     /// Group object ids into cuboids of side `cell` by MBB centre —
     /// the batching unit for parallel query execution (§5.3).
     pub fn cuboids(&self, cell: f64) -> Vec<Vec<ObjectId>> {
@@ -241,7 +244,6 @@ fn build_object(tm: &TriMesh, enc: &EncoderConfig) -> std::result::Result<Stored
         compressed,
         skeleton,
         group_boxes,
-        kdop: Kdop::from_points(tm.vertices.iter().cloned()),
         full_faces: tm.faces.len(),
     })
 }
@@ -250,7 +252,21 @@ fn build_object(tm: &TriMesh, enc: &EncoderConfig) -> std::result::Result<Stored
 // Persistence: one file per cuboid, objects framed with their metadata.
 // ---------------------------------------------------------------------------
 
-const FILE_MAGIC: &[u8; 4] = b"3DP2";
+const FILE_MAGIC: &[u8; 4] = b"3DP3";
+
+fn bad(m: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string())
+}
+
+/// Read a record count, refusing one whose records cannot fit in the rest
+/// of the file: a corrupt count must not size an allocation.
+fn read_count(r: &mut tripro_coder::ByteReader<'_>, record_bytes: usize) -> std::io::Result<usize> {
+    let n = r.read_usize().map_err(|_| bad("truncated"))?;
+    match n.checked_mul(record_bytes) {
+        Some(bytes) if bytes <= r.remaining() => Ok(n),
+        _ => Err(bad("count exceeds file")),
+    }
+}
 
 impl ObjectStore {
     /// Persist to `dir`, one file per cuboid of side `cell`. Files are named
@@ -280,10 +296,6 @@ impl ObjectStore {
                         tripro_coder::write_f64(&mut buf, v.z);
                     }
                 }
-                for i in 0..tripro_geom::kdop::K {
-                    tripro_coder::write_f64(&mut buf, o.kdop.lo[i]);
-                    tripro_coder::write_f64(&mut buf, o.kdop.hi[i]);
-                }
                 tripro_coder::write_u64(&mut buf, o.full_faces as u64);
             }
             std::fs::write(dir.join(format!("cuboid_{ci:06}.3dp")), &buf)?;
@@ -299,7 +311,6 @@ impl ObjectStore {
             .filter(|p| p.extension().is_some_and(|x| x == "3dp"))
             .collect();
         paths.sort();
-        let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
         let mut objects = Vec::new();
         for path in paths {
             let data = std::fs::read(&path)?;
@@ -312,7 +323,7 @@ impl ObjectStore {
                 let len = r.read_usize().map_err(|_| bad("truncated"))?;
                 let blob = r.read_exact(len).map_err(|_| bad("truncated"))?;
                 let compressed = CompressedMesh::from_bytes(blob).map_err(|_| bad("bad object"))?;
-                let nsk = r.read_usize().map_err(|_| bad("truncated"))?;
+                let nsk = read_count(&mut r, 3 * 8)?;
                 let mut skeleton = Vec::with_capacity(nsk);
                 for _ in 0..nsk {
                     let x = r.read_f64().map_err(|_| bad("truncated"))?;
@@ -320,7 +331,7 @@ impl ObjectStore {
                     let z = r.read_f64().map_err(|_| bad("truncated"))?;
                     skeleton.push(vec3(x, y, z));
                 }
-                let ngb = r.read_usize().map_err(|_| bad("truncated"))?;
+                let ngb = read_count(&mut r, 6 * 8)?;
                 let mut group_boxes = Vec::with_capacity(ngb);
                 for _ in 0..ngb {
                     let mut c = [0.0f64; 6];
@@ -329,11 +340,6 @@ impl ObjectStore {
                     }
                     group_boxes.push(Aabb::new(vec3(c[0], c[1], c[2]), vec3(c[3], c[4], c[5])));
                 }
-                let mut kdop = Kdop::EMPTY;
-                for i in 0..tripro_geom::kdop::K {
-                    kdop.lo[i] = r.read_f64().map_err(|_| bad("truncated"))?;
-                    kdop.hi[i] = r.read_f64().map_err(|_| bad("truncated"))?;
-                }
                 let full_faces = r.read_usize().map_err(|_| bad("truncated"))?;
                 let mbb = compressed.aabb();
                 objects.push(StoredObject {
@@ -341,7 +347,6 @@ impl ObjectStore {
                     compressed,
                     skeleton,
                     group_boxes,
-                    kdop,
                     full_faces,
                 });
             }

@@ -228,7 +228,6 @@ fn traced_cluster_query_stitches_one_waterfall_in_coordinator_slow_log() {
         enabled: true,
         slow_threshold: std::time::Duration::ZERO,
         keep: 64,
-        ..Default::default()
     });
 
     // A distinctive id keeps this trace separable from records emitted by

@@ -111,9 +111,48 @@ fn store_file_corruption_is_io_error() {
         .unwrap()
         .unwrap()
         .path();
-    let mut data = std::fs::read(&path).unwrap();
+    let good = std::fs::read(&path).unwrap();
+    let mut data = good.clone();
     data[0] ^= 0xFF;
     std::fs::write(&path, &data).unwrap();
     assert!(ObjectStore::load_dir(&dir, 0).is_err());
+
+    // Byte spans of the one object's count varints: the object count after
+    // the magic, the skeleton count after the blob, the group count after
+    // the skeleton points (3 f64 each).
+    let mut r = tripro_coder::ByteReader::new(&good);
+    r.read_exact(4).unwrap();
+    let span = |r: &mut tripro_coder::ByteReader| {
+        let at = r.position();
+        let n = r.read_usize().unwrap();
+        (at, r.position(), n)
+    };
+    let objects = span(&mut r);
+    let (_, _, blob_len) = span(&mut r);
+    r.read_exact(blob_len).unwrap();
+    let skeleton = span(&mut r);
+    r.read_exact(skeleton.2 * 24).unwrap();
+    let groups = span(&mut r);
+    // Replace one count varint with a count far beyond the file.
+    let lie = |(at, end, _): (usize, usize, usize)| {
+        let mut d = good[..at].to_vec();
+        tripro_coder::write_u64(&mut d, 1 << 62);
+        d.extend_from_slice(&good[end..]);
+        d
+    };
+    let mut old_magic = good.clone();
+    old_magic[..4].copy_from_slice(b"3DP2");
+    for (what, data) in [
+        ("object count", lie(objects)),
+        ("skeleton count", lie(skeleton)),
+        ("group count", lie(groups)),
+        ("old magic", old_magic),
+    ] {
+        std::fs::write(&path, &data).unwrap();
+        let err = ObjectStore::load_dir(&dir, 0)
+            .err()
+            .unwrap_or_else(|| panic!("{what}: must not load"));
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
