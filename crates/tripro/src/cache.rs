@@ -7,22 +7,15 @@
 //! `k` to `k+1` replays only the missing segments — the progressive decode
 //! the paper's FPR paradigm depends on.
 //!
-//! ## Sharding
+//! ## One lock
 //!
-//! The cache is split into [`SHARD_COUNT`] independently locked shards,
-//! each holding its own hash map and an intrusive doubly-linked LRU list
-//! (O(1) touch on hit, O(1) unlink on evict). A hit therefore contends
-//! only with other accesses that hash to the same shard — the seed's
-//! single global mutex serialised *every* lookup of the multi-threaded
-//! join driver on the path that is supposed to be nearly free.
-//!
-//! Recency is a global atomic tick stamped on each touch, and byte usage
-//! is tracked per shard (summing to an atomic global counter), so the
-//! capacity budget stays a *global* bound: eviction walks the shard tails
-//! — each tail is its shard's least-recent entry, so the globally oldest
-//! entry is always one of them — and removes the oldest until the budget
-//! holds. Eviction only runs on the miss path, which just paid for a
-//! decode anyway.
+//! Entries, their exact byte total and the decoder states sit behind one
+//! mutex. Entries form an intrusive doubly-linked LRU list over a slot
+//! arena: a hit moves its slot to the head (O(1)) and clones an `Arc`;
+//! eviction unlinks from the tail (O(1)). A miss takes the object's decode
+//! lock and the decoder state, decodes with the cache lock released, then
+//! locks once to put the state back, insert, and evict until the byte
+//! budget holds.
 
 use crate::error::{Error, Result};
 use crate::fault;
@@ -31,7 +24,7 @@ use crate::obs::SpanKind;
 use crate::stats::ExecStats;
 use crate::sync::{lock, Mutex};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use tripro_geom::Triangle;
@@ -82,26 +75,21 @@ impl LodData {
 
 type Key = (u32, u8);
 
-/// Number of independently locked cache shards (power of two).
-pub const SHARD_COUNT: usize = 16;
-
 /// Sentinel for "no slot" in the intrusive list.
 const NIL: u32 = u32::MAX;
 
-/// One cached entry, a node of its shard's intrusive LRU list.
+/// One cached entry, a node of the intrusive LRU list.
 struct Slot {
     key: Key,
     data: Arc<LodData>,
-    bytes: usize,
-    /// Global recency stamp (larger = more recent).
-    tick: u64,
     prev: u32,
     next: u32,
 }
 
-/// One cache shard: hash map + intrusive LRU list over a slot arena.
+/// Everything behind the cache lock: hash map + intrusive LRU list over a
+/// slot arena, the exact byte total, and the retained decoder states.
 #[derive(Default)]
-struct Shard {
+struct Inner {
     map: HashMap<Key, u32>,
     slots: Vec<Option<Slot>>,
     free: Vec<u32>,
@@ -110,9 +98,11 @@ struct Shard {
     /// Least-recently-used slot.
     tail: Option<u32>,
     used_bytes: usize,
+    /// Retained decoder states for incremental refinement.
+    states: HashMap<u32, ProgressiveMesh>,
 }
 
-impl Shard {
+impl Inner {
     fn slot(&self, i: u32) -> Option<&Slot> {
         self.slots.get(i as usize).and_then(Option::as_ref)
     }
@@ -121,7 +111,8 @@ impl Shard {
         self.slots.get_mut(i as usize).and_then(Option::as_mut)
     }
 
-    /// Detach slot `i` from the LRU list (O(1)).
+    /// Detach slot `i` from the LRU list (O(1)); its own links go stale
+    /// until `push_front` or removal.
     fn unlink(&mut self, i: u32) {
         let (prev, next) = match self.slot(i) {
             Some(s) => (s.prev, s.next),
@@ -133,9 +124,6 @@ impl Shard {
                 if let Some(s) = self.slot_mut(p) {
                     s.next = next;
                 }
-                if self.head == Some(i) {
-                    self.head = Some(p);
-                }
             }
         }
         match next {
@@ -145,10 +133,6 @@ impl Shard {
                     s.prev = prev;
                 }
             }
-        }
-        if let Some(s) = self.slot_mut(i) {
-            s.prev = NIL;
-            s.next = NIL;
         }
     }
 
@@ -171,28 +155,22 @@ impl Shard {
     }
 
     /// Hit path: refresh recency and return the data.
-    fn touch(&mut self, key: Key, tick: u64) -> Option<Arc<LodData>> {
+    fn touch(&mut self, key: Key) -> Option<Arc<LodData>> {
         let i = *self.map.get(&key)?;
         self.unlink(i);
         self.push_front(i);
-        let s = self.slot_mut(i)?;
-        s.tick = tick;
-        Some(Arc::clone(&s.data))
+        self.slot(i).map(|s| Arc::clone(&s.data))
     }
 
-    /// Insert (or replace) `key`; returns the net byte delta for the
-    /// global counter.
-    fn insert(&mut self, key: Key, data: Arc<LodData>, tick: u64) -> isize {
-        let mut delta = 0isize;
+    /// Insert (or replace) `key` as the most-recent entry.
+    fn insert(&mut self, key: Key, data: Arc<LodData>) {
         if let Some(&old) = self.map.get(&key) {
-            delta -= self.remove_slot(old) as isize;
+            self.remove_slot(old);
         }
-        let bytes = data.bytes();
+        self.used_bytes += data.bytes();
         let slot = Slot {
             key,
             data,
-            bytes,
-            tick,
             prev: NIL,
             next: NIL,
         };
@@ -208,88 +186,51 @@ impl Shard {
         };
         self.map.insert(key, i);
         self.push_front(i);
-        self.used_bytes += bytes;
-        delta += bytes as isize;
-        delta
     }
 
-    /// Remove slot `i` entirely; returns its byte size.
-    fn remove_slot(&mut self, i: u32) -> usize {
+    /// Remove slot `i` entirely.
+    fn remove_slot(&mut self, i: u32) {
         self.unlink(i);
-        let Some(slot) = self.slots.get_mut(i as usize).and_then(Option::take) else {
-            return 0;
-        };
-        self.map.remove(&slot.key);
-        self.free.push(i);
-        self.used_bytes -= slot.bytes;
-        slot.bytes
-    }
-
-    /// Recency stamp of the least-recent entry.
-    fn tail_tick(&self) -> Option<u64> {
-        self.tail.and_then(|t| self.slot(t)).map(|s| s.tick)
-    }
-
-    /// Evict the least-recent entry; returns the bytes freed.
-    fn evict_tail(&mut self) -> usize {
-        match self.tail {
-            Some(t) => self.remove_slot(t),
-            None => 0,
+        if let Some(slot) = self.slots.get_mut(i as usize).and_then(Option::take) {
+            self.map.remove(&slot.key);
+            self.free.push(i);
+            self.used_bytes -= slot.data.bytes();
         }
     }
 
-    fn clear(&mut self) {
-        self.map.clear();
-        self.slots.clear();
-        self.free.clear();
-        self.head = None;
-        self.tail = None;
-        self.used_bytes = 0;
+    /// Evict least-recent entries until `used_bytes` fits `capacity`,
+    /// keeping at least one entry (so a single object larger than the
+    /// whole budget still caches). Returns the number evicted.
+    fn evict_over(&mut self, capacity: usize) -> u64 {
+        let mut evicted = 0;
+        while self.used_bytes > capacity && self.map.len() > 1 {
+            let Some(t) = self.tail else { break };
+            self.remove_slot(t);
+            evicted += 1;
+        }
+        evicted
     }
 }
 
-/// Thread-safe sharded LRU cache of decoded LODs with progressive
-/// decoder-state reuse. A `capacity_bytes` of 0 disables caching entirely
-/// (every request decodes from scratch) — the paper's Table 2 baseline.
+/// Thread-safe LRU cache of decoded LODs with progressive decoder-state
+/// reuse. A `capacity_bytes` of 0 disables caching entirely (every request
+/// decodes from scratch) — the paper's Table 2 baseline.
 pub struct DecodeCache {
-    // LOCK-RANK(60): entry shards; after a per-object decode lock (50),
-    // never while a decoder-state shard (70) is held.
-    shards: Vec<Mutex<Shard>>,
-    /// Bytes currently held, summed over all shards.
-    used: AtomicUsize,
-    /// Global recency clock; `fetch_add` gives every touch a unique stamp.
-    clock: AtomicU64,
-    /// Retained decoder states for incremental refinement, sharded by id.
-    // LOCK-RANK(70): decoder-state shards; the innermost cache lock.
-    states: Vec<Mutex<HashMap<u32, ProgressiveMesh>>>,
-    /// Per-object decode locks (sharded) so two threads don't decode the
+    // LOCK-RANK(60): entries, byte total and decoder states; taken after
+    // a per-object decode lock (50), never held across a decode.
+    inner: Mutex<Inner>,
+    /// Per-object decode locks (striped by id) so two threads don't decode the
     /// same object twice; mirrors the paper's cuboid-level locks.
     // LOCK-RANK(50): per-object decode locks; held (cross-function, via
-    // `get`) around lookup/decode/insert, so ranked below both shard tiers.
+    // `get`) around lookup/decode/insert, so ranked below `inner`.
     locks: Vec<Mutex<()>>,
     capacity_bytes: usize,
-}
-
-/// Cheap deterministic shard hash (Fibonacci multiply on the object id,
-/// xor-folded with the LOD) — `DefaultHasher` would dominate the hit path.
-fn shard_of(key: Key) -> usize {
-    let mixed = (u64::from(key.0))
-        .wrapping_add(u64::from(key.1) << 32)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((mixed >> 48) as usize) & (SHARD_COUNT - 1)
 }
 
 impl DecodeCache {
     pub fn new(capacity_bytes: usize) -> Self {
         Self {
-            shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
-            used: AtomicUsize::new(0),
-            clock: AtomicU64::new(0),
-            states: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            inner: Mutex::new(Inner::default()),
             locks: (0..64).map(|_| Mutex::new(())).collect(),
             capacity_bytes,
         }
@@ -302,7 +243,7 @@ impl DecodeCache {
 
     /// Bytes currently held.
     pub fn used_bytes(&self) -> usize {
-        self.used.load(Ordering::Relaxed)
+        lock(&self.inner).used_bytes
     }
 
     /// Fetch `(id, lod)`, decoding from `compressed` on a miss. Decode time
@@ -316,188 +257,110 @@ impl DecodeCache {
         stats: &ExecStats,
     ) -> Result<Arc<LodData>> {
         let key: Key = (id, lod as u8);
-        let shard = shard_of(key);
-        if self.enabled() {
-            if let Some(hit) = self.lookup(key) {
-                stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                obs::cache_hit_counter(shard).fetch_add(1, Ordering::Relaxed);
-                return Ok(hit);
-            }
-            // Miss path only: the hit path above stays span-free so the
-            // nearly-free case (PR 2's de-contention story) is untouched.
-            let _touch = obs::span_at(SpanKind::CacheTouch, id, lod as u32);
-            // Serialise decodes of the same object.
-            let _guard = lock(&self.locks[id as usize % self.locks.len()]);
-            if let Some(hit) = self.lookup(key) {
-                stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                obs::cache_hit_counter(shard).fetch_add(1, Ordering::Relaxed);
-                return Ok(hit);
-            }
+        if !self.enabled() {
             stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-            obs::cache_miss_counter(shard).fetch_add(1, Ordering::Relaxed);
-            let data = Arc::new(self.decode(id, lod, compressed, stats)?);
-            self.insert(key, Arc::clone(&data));
-            Ok(data)
-        } else {
-            stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-            obs::cache_miss_counter(shard).fetch_add(1, Ordering::Relaxed);
-            Ok(Arc::new(self.decode(id, lod, compressed, stats)?))
+            obs::cache_miss_counter().fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::new(self.decode(id, lod, compressed, stats)?.0));
         }
-    }
-
-    fn lookup(&self, key: Key) -> Option<Arc<LodData>> {
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed);
-        lock(&self.shards[shard_of(key)]).touch(key, tick)
-    }
-
-    fn insert(&self, key: Key, data: Arc<LodData>) {
+        if let Some(hit) = self.lookup(key, stats) {
+            return Ok(hit);
+        }
+        // Miss path only: the hit path above stays span-free so the
+        // nearly-free case is untouched.
+        let _touch = obs::span_at(SpanKind::CacheTouch, id, lod as u32);
+        // Serialise decodes of the same object.
+        let _guard = lock(&self.locks[id as usize % self.locks.len()]);
+        if let Some(hit) = self.lookup(key, stats) {
+            return Ok(hit);
+        }
+        stats.cache_misses.fetch_add(1, Ordering::Relaxed);
+        obs::cache_miss_counter().fetch_add(1, Ordering::Relaxed);
+        let (data, pm) = self.decode(id, lod, compressed, stats)?;
+        let data = Arc::new(data);
         // An injected insert fault degrades the cache (the entry is
         // simply not retained) without affecting query correctness —
         // chaos schedules use this to prove results don't depend on
         // cache residency.
-        if fault::failpoint(fault::CACHE_INSERT).is_err() {
-            return;
-        }
-        let tick = self.clock.fetch_add(1, Ordering::Relaxed);
-        let delta = lock(&self.shards[shard_of(key)]).insert(key, data, tick);
-        if delta >= 0 {
-            self.used.fetch_add(delta as usize, Ordering::Relaxed);
-        } else {
-            self.used.fetch_sub(delta.unsigned_abs(), Ordering::Relaxed);
-        }
-        self.enforce_capacity();
+        let retain = fault::failpoint(fault::CACHE_INSERT).is_ok();
+        let evicted = {
+            let mut inner = lock(&self.inner);
+            inner.states.insert(id, pm);
+            if retain {
+                inner.insert(key, Arc::clone(&data));
+                inner.evict_over(self.capacity_bytes)
+            } else {
+                0
+            }
+        };
+        obs::cache_evict_counter().fetch_add(evicted, Ordering::Relaxed);
+        Ok(data)
     }
 
-    /// Evict globally-least-recent entries until the byte budget holds
-    /// (keeping at least one entry overall, so a single object larger than
-    /// the whole budget still caches). Locks one shard at a time — shard
-    /// tails are per-shard LRU minima, so the globally oldest entry is
-    /// always one of the tails.
-    fn enforce_capacity(&self) {
-        // ORDERING: Relaxed is enough for the budget check — `used` is
-        // only advisory here; the authoritative per-entry accounting sits
-        // behind the shard locks, and an overshoot observed late is
-        // corrected on the next pass around this loop.
-        while self.used.load(Ordering::Relaxed) > self.capacity_bytes {
-            let mut victim: Option<(usize, u64)> = None;
-            let mut entries = 0usize;
-            for (i, shard) in self.shards.iter().enumerate() {
-                let guard = lock(shard);
-                entries += guard.map.len();
-                if let Some(t) = guard.tail_tick() {
-                    if victim.map_or(true, |(_, best)| t < best) {
-                        victim = Some((i, t));
-                    }
-                }
-            }
-            if entries <= 1 {
-                break;
-            }
-            let Some((vi, _)) = victim else { break };
-            let freed = lock(&self.shards[vi]).evict_tail();
-            if freed == 0 {
-                // The shard emptied under us (concurrent clear); rescan.
-                continue;
-            }
-            obs::cache_evict_counter(vi).fetch_add(1, Ordering::Relaxed);
-            self.used.fetch_sub(freed, Ordering::Relaxed);
-        }
+    fn lookup(&self, key: Key, stats: &ExecStats) -> Option<Arc<LodData>> {
+        let hit = lock(&self.inner).touch(key)?;
+        stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+        obs::cache_hit_counter().fetch_add(1, Ordering::Relaxed);
+        Some(hit)
     }
 
-    /// Internal-consistency audit for the `strict-invariants` test feature.
-    /// Per shard: the LRU list must be a well-formed chain covering exactly
-    /// the mapped slots with strictly decreasing recency stamps, and the
-    /// recomputed byte sum must equal the shard counter. Globally: shard
-    /// counters must sum to the atomic total and no stamp may exceed the
-    /// clock. Intended for quiescent moments (between operations or after
-    /// worker threads join).
+    /// Internal-consistency audit for the `strict-invariants` test feature:
+    /// the LRU list must be a well-formed chain (prev links, tail) covering
+    /// exactly the mapped slots, and the recomputed byte sum must equal
+    /// `used_bytes`.
     #[cfg(feature = "strict-invariants")]
     pub fn check_consistency(&self) -> std::result::Result<(), String> {
-        let mut total = 0usize;
-        for (si, shard) in self.shards.iter().enumerate() {
-            let guard = lock(shard);
-            let mut bytes = 0usize;
-            let mut seen = 0usize;
-            let mut cursor = guard.head;
-            let mut last_tick = u64::MAX;
-            let mut prev = NIL;
-            while let Some(i) = cursor {
-                let Some(slot) = guard.slot(i) else {
-                    return Err(format!("shard {si}: list points at empty slot {i}"));
-                };
-                if guard.map.get(&slot.key) != Some(&i) {
-                    return Err(format!("shard {si}: slot {i} not mapped to its key"));
-                }
-                if slot.prev != prev {
-                    return Err(format!("shard {si}: slot {i} has a broken prev link"));
-                }
-                if slot.tick >= last_tick {
-                    return Err(format!(
-                        "shard {si}: recency not strictly decreasing at slot {i}"
-                    ));
-                }
-                last_tick = slot.tick;
-                bytes += slot.bytes;
-                seen += 1;
-                if seen > guard.map.len() {
-                    return Err(format!("shard {si}: LRU list longer than map (cycle?)"));
-                }
-                prev = i;
-                cursor = (slot.next != NIL).then_some(slot.next);
+        let inner = lock(&self.inner);
+        let len = inner.map.len();
+        let mut bytes = 0usize;
+        let mut seen = 0usize;
+        let mut cursor = inner.head;
+        let mut prev = NIL;
+        while let Some(i) = cursor {
+            let Some(slot) = inner.slot(i) else {
+                return Err(format!("list points at empty slot {i}"));
+            };
+            if inner.map.get(&slot.key) != Some(&i) {
+                return Err(format!("slot {i} not mapped to its key"));
             }
-            if seen != guard.map.len() {
-                return Err(format!(
-                    "shard {si}: list covers {seen} of {} mapped entries",
-                    guard.map.len()
-                ));
+            if slot.prev != prev {
+                return Err(format!("slot {i} has a broken prev link"));
             }
-            if guard.tail != ((prev != NIL).then_some(prev)) {
-                return Err(format!("shard {si}: tail does not terminate the list"));
+            bytes += slot.data.bytes();
+            seen += 1;
+            if seen > len {
+                return Err("LRU list longer than map (cycle?)".to_string());
             }
-            if bytes != guard.used_bytes {
-                return Err(format!(
-                    "shard {si}: byte accounting drifted: counter {} vs recomputed {bytes}",
-                    guard.used_bytes
-                ));
-            }
-            // ORDERING: Relaxed — ticks were written under this shard's
-            // lock, which we hold; the clock only moves forward, so a
-            // stale read can only make this check more permissive, never
-            // produce a false failure.
-            if last_tick != u64::MAX && last_tick > self.clock.load(Ordering::Relaxed) {
-                return Err(format!("shard {si}: entry tick exceeds the clock"));
-            }
-            total += guard.used_bytes;
+            prev = i;
+            cursor = (slot.next != NIL).then_some(slot.next);
         }
-        let counter = self.used.load(Ordering::Relaxed);
-        if total != counter {
-            return Err(format!(
-                "global byte counter drifted: {counter} vs shard sum {total}"
-            ));
+        if seen != len {
+            return Err(format!("list covers {seen} of {len} mapped entries"));
+        }
+        if inner.tail != ((prev != NIL).then_some(prev)) {
+            return Err("tail does not terminate the list".to_string());
+        }
+        if bytes != inner.used_bytes {
+            let used = inner.used_bytes;
+            return Err(format!("used_bytes {used} but entries sum to {bytes}"));
         }
         Ok(())
     }
 
-    /// Decode `(id, lod)`. With caching enabled, a retained decoder state
-    /// at or below the requested LOD is resumed and the advanced state is
-    /// retained again; otherwise decoding starts from the base.
+    /// Decode `(id, lod)`, returning the faces and the advanced decoder
+    /// state. A retained state at or below the requested LOD is resumed;
+    /// otherwise decoding starts from the base. The state is taken out of
+    /// the cache so the decode itself runs without the cache lock.
     fn decode(
         &self,
         id: u32,
         lod: usize,
         compressed: &CompressedMesh,
         stats: &ExecStats,
-    ) -> Result<LodData> {
+    ) -> Result<(LodData, ProgressiveMesh)> {
         let _span = obs::span_at(SpanKind::Decode, id, lod as u32);
         fault::failpoint(fault::DECODE_LOD)?;
         let t0 = Instant::now();
-        let state_shard = &self.states[id as usize % self.states.len()];
-        // Take the state out so the decode itself runs without the map lock.
-        let state = if self.enabled() {
-            lock(state_shard).remove(&id)
-        } else {
-            None
-        };
+        let state = lock(&self.inner).states.remove(&id);
         let decode_err = |source| Error::Decode { object: id, source };
         let mut pm = match state {
             Some(pm) if pm.current_lod() <= lod => pm,
@@ -505,28 +368,17 @@ impl DecodeCache {
         };
         pm.decode_to(lod).map_err(decode_err)?;
         let tris = pm.triangles();
-        if self.enabled() {
-            lock(state_shard).insert(id, pm);
-        }
         let took = t0.elapsed();
         stats.add_decode(took);
         stats.decodes.fetch_add(1, Ordering::Relaxed);
         stats.add_decoded_bytes(std::mem::size_of_val(tris.as_slice()) as u64);
         obs::decode_histogram(lod).record_duration(took);
-        Ok(LodData::new(tris))
+        Ok((LodData::new(tris), pm))
     }
 
     /// Drop all cached data and decoder states.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut guard = lock(shard);
-            let freed = guard.used_bytes;
-            guard.clear();
-            self.used.fetch_sub(freed, Ordering::Relaxed);
-        }
-        for states in &self.states {
-            lock(states).clear();
-        }
+        *lock(&self.inner) = Inner::default();
     }
 }
 
@@ -616,9 +468,8 @@ mod tests {
             let stats = ExecStats::new();
             cache.get(0, 2, &cm, &stats).unwrap().bytes()
         };
-        // Room for three entries. Insert four across (almost surely)
-        // different shards, touching id=0 in between: id=1 must be the
-        // victim even though shard occupancies differ.
+        // Room for three entries. Insert four, touching id=0 in between:
+        // id=1 must be the victim, not the first-inserted id=0.
         let cache = DecodeCache::new(3 * one + one / 2);
         let stats = ExecStats::new();
         for id in 0..3 {
@@ -689,19 +540,5 @@ mod tests {
         assert!(cache.used_bytes() > 0);
         cache.clear();
         assert_eq!(cache.used_bytes(), 0);
-    }
-
-    #[test]
-    fn shard_hash_is_spread_and_stable() {
-        let mut hit = [false; SHARD_COUNT];
-        for id in 0..256u32 {
-            for lod in 0..4u8 {
-                let s = shard_of((id, lod));
-                assert!(s < SHARD_COUNT);
-                assert_eq!(s, shard_of((id, lod)), "deterministic");
-                hit[s] = true;
-            }
-        }
-        assert!(hit.iter().all(|&h| h), "all shards reachable");
     }
 }

@@ -37,7 +37,7 @@ use std::time::Duration;
 
 /// Progressive decode of one object to one LOD (cache miss path).
 pub const DECODE_LOD: &str = "decode.lod";
-/// Insertion of a freshly decoded entry into the sharded cache.
+/// Insertion of a freshly decoded entry into the decode cache.
 pub const CACHE_INSERT: &str = "cache.insert";
 /// A pool worker claiming a broadcast job.
 pub const POOL_DISPATCH: &str = "pool.dispatch";

@@ -50,58 +50,37 @@ pub fn registry() -> &'static MetricsRegistry {
     registry::global()
 }
 
-/// Number of per-shard series pre-bound for the decode cache (must cover
-/// [`crate::cache`]'s `SHARD_COUNT`).
-const CACHE_SHARDS: usize = 16;
+/// Number of per-shard series pre-bound for the backend-shard metrics;
+/// higher shard indices aggregate into the last series.
+const BACKEND_SHARDS: usize = 16;
 /// Decode-latency histograms are pre-bound for LODs `0..OBS_LODS-1`; the
 /// last slot aggregates every higher LOD as `lod="15+"`.
 const OBS_LODS: usize = 16;
 
-static SHARD_LABELS: [&str; CACHE_SHARDS] = [
+static BACKEND_SHARD_LABELS: [&str; BACKEND_SHARDS] = [
     "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15",
 ];
 static LOD_LABELS: [&str; OBS_LODS] = [
     "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15+",
 ];
 
-fn sharded_counters(name: &'static str, help: &'static str) -> [Arc<AtomicU64>; CACHE_SHARDS] {
-    std::array::from_fn(|i| {
-        registry().counter(
-            name,
-            help,
-            &[("shard", SHARD_LABELS[i.min(CACHE_SHARDS - 1)])],
-        )
-    })
-}
-
-macro_rules! shard_counter_fn {
-    ($fn_name:ident, $metric:literal, $help:literal) => {
-        /// Pre-bound per-shard counter (see metric name in the body).
+macro_rules! counter_fns {
+    ($($fn_name:ident => $metric:literal, $help:literal;)*) => {$(
+        /// Pre-bound unlabelled counter (see metric name in the body).
         #[inline]
         #[must_use]
-        pub fn $fn_name(shard: usize) -> &'static AtomicU64 {
-            static HANDLES: OnceLock<[Arc<AtomicU64>; CACHE_SHARDS]> = OnceLock::new();
-            let handles = HANDLES.get_or_init(|| sharded_counters($metric, $help));
-            &handles[shard.min(CACHE_SHARDS - 1)]
+        pub fn $fn_name() -> &'static AtomicU64 {
+            static HANDLE: OnceLock<Arc<AtomicU64>> = OnceLock::new();
+            HANDLE.get_or_init(|| registry().counter($metric, $help, &[]))
         }
-    };
+    )*};
 }
 
-shard_counter_fn!(
-    cache_hit_counter,
-    "tripro_cache_hits_total",
-    "Decode cache hits by shard."
-);
-shard_counter_fn!(
-    cache_miss_counter,
-    "tripro_cache_misses_total",
-    "Decode cache misses by shard."
-);
-shard_counter_fn!(
-    cache_evict_counter,
-    "tripro_cache_evictions_total",
-    "Decode cache evictions by shard."
-);
+counter_fns! {
+    cache_hit_counter => "tripro_cache_hits_total", "Decode cache hits.";
+    cache_miss_counter => "tripro_cache_misses_total", "Decode cache misses.";
+    cache_evict_counter => "tripro_cache_evictions_total", "Decode cache evictions.";
+}
 
 /// Pre-bound decode-latency histogram for `lod` (seconds in exposition;
 /// LODs ≥ 15 aggregate into the `15+` series).
@@ -342,21 +321,21 @@ pub fn merge_latency_histogram() -> &'static Histogram {
 }
 
 /// Per-backend-shard sub-query round-trip latency (shard indices ≥ 15
-/// aggregate into the last series, mirroring the cache-shard clamp).
+/// aggregate into the last series).
 #[inline]
 #[must_use]
 pub fn shard_subquery_histogram(shard: usize) -> &'static Histogram {
-    static HANDLES: OnceLock<[Arc<Histogram>; CACHE_SHARDS]> = OnceLock::new();
+    static HANDLES: OnceLock<[Arc<Histogram>; BACKEND_SHARDS]> = OnceLock::new();
     let handles = HANDLES.get_or_init(|| {
         std::array::from_fn(|i| {
             registry().histogram(
                 "tripro_shard_subquery_seconds",
                 "Sub-query round-trip latency per backend shard.",
-                &[("shard", SHARD_LABELS[i])],
+                &[("shard", BACKEND_SHARD_LABELS[i])],
             )
         })
     });
-    &handles[shard.min(CACHE_SHARDS - 1)]
+    &handles[shard.min(BACKEND_SHARDS - 1)]
 }
 
 /// `tripro_trace_dropped_total{reason}` — spans/traces discarded by the
@@ -378,17 +357,17 @@ pub fn trace_dropped_counter(reason: &'static str) -> Arc<AtomicU64> {
 #[inline]
 #[must_use]
 pub fn shard_error_counter(shard: usize) -> &'static AtomicU64 {
-    static HANDLES: OnceLock<[Arc<AtomicU64>; CACHE_SHARDS]> = OnceLock::new();
+    static HANDLES: OnceLock<[Arc<AtomicU64>; BACKEND_SHARDS]> = OnceLock::new();
     let handles = HANDLES.get_or_init(|| {
         std::array::from_fn(|i| {
             registry().counter(
                 "tripro_shard_errors_total",
                 "Failed sub-queries per backend shard.",
-                &[("shard", SHARD_LABELS[i])],
+                &[("shard", BACKEND_SHARD_LABELS[i])],
             )
         })
     });
-    &handles[shard.min(CACHE_SHARDS - 1)]
+    &handles[shard.min(BACKEND_SHARDS - 1)]
 }
 
 #[cfg(test)]
@@ -398,23 +377,23 @@ mod tests {
 
     #[test]
     fn prebound_handles_are_stable_and_clamped() {
-        let a = cache_hit_counter(3);
-        let b = cache_hit_counter(3);
-        assert!(std::ptr::eq(a, b), "same shard resolves to same atomic");
+        let a = cache_hit_counter();
+        let b = cache_hit_counter();
+        assert!(std::ptr::eq(a, b), "same counter resolves to same atomic");
         // Out-of-range shards clamp instead of panicking.
-        let hi = cache_hit_counter(999);
+        let hi = shard_error_counter(999);
         hi.fetch_add(1, Ordering::Relaxed);
-        assert!(cache_hit_counter(15).load(Ordering::Relaxed) >= 1);
+        assert!(shard_error_counter(15).load(Ordering::Relaxed) >= 1);
         decode_histogram(40).record(10);
         assert!(decode_histogram(15).count() >= 1);
     }
 
     #[test]
     fn global_exposition_contains_prebound_series() {
-        let _ = cache_miss_counter(0);
+        let _ = cache_miss_counter();
         let _ = pool_wait_histogram();
         let text = render_global();
-        assert!(text.contains("tripro_cache_misses_total{shard=\"0\"}"));
+        assert!(text.contains("\ntripro_cache_misses_total "));
         assert!(text.contains("# TYPE tripro_pool_queue_wait_seconds histogram"));
         validate_exposition(&text).expect("global exposition validates");
     }

@@ -591,12 +591,8 @@ pub fn record_remote(
         let mut ctx = ctx.borrow_mut();
         match ctx.as_mut() {
             Some(c) => {
-                let start_ns = u64::try_from(
-                    started
-                        .saturating_duration_since(c.start)
-                        .as_nanos(),
-                )
-                .unwrap_or(0);
+                let start_ns = u64::try_from(started.saturating_duration_since(c.start).as_nanos())
+                    .unwrap_or(0);
                 let depth = c.depth.saturating_add(1).saturating_add(extra_depth);
                 let trace_id = c.trace_id;
                 c.spans.push(SpanRecord {
@@ -918,7 +914,14 @@ mod tests {
             {
                 let _req = tracer().request(0x77);
                 assert!(record_remote(SpanKind::Shard, 2, NO_LOD, t0, 5_000_000, 0));
-                assert!(record_remote(SpanKind::Decode, NO_OBJECT, 3, t0, 2_000_000, 1));
+                assert!(record_remote(
+                    SpanKind::Decode,
+                    NO_OBJECT,
+                    3,
+                    t0,
+                    2_000_000,
+                    1
+                ));
                 assert!(attach_exemplar(CostExemplar {
                     decoded_bytes: 4096,
                     resolved_pairs: 8,

@@ -8,8 +8,8 @@
 //!   every non-test module uses instead of raw `.lock()`. They are also
 //!   the anchor the `lock_order`/`condvar_wait_loop` lints key on.
 //! * [`model`] — a dependency-free, loom-in-spirit bounded-exhaustive
-//!   schedule explorer. Concurrency protocols (cache shard accounting,
-//!   pool job handoff, span-ring publication) are written as small op
+//!   schedule explorer. Concurrency protocols (pool job handoff,
+//!   span-ring publication) are written as small op
 //!   programs over virtual threads, and every interleaving up to a bound
 //!   is executed with invariants checked after each atomic step. The
 //!   model is sequentially consistent — weak-memory effects are covered

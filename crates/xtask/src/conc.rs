@@ -50,11 +50,13 @@ const COUNTER_OPS: &[&str] = &[
     "fetch_max",
 ];
 
-/// Calls that block (pool dispatch, socket/file I/O, thread lifecycle);
-/// holding a lock guard across one of these stalls every contender of the
-/// lock for the full latency of the operation.
+/// Calls that block (pool dispatch, socket/file I/O, thread lifecycle, a
+/// progressive mesh decode); holding a lock guard across one of these
+/// stalls every contender of the lock for the full latency of the
+/// operation.
 const BLOCKING_CALLS: &[&str] = &[
     "run_with",
+    "decode_to",
     "write_all",
     "flush",
     "read_exact",

@@ -295,6 +295,18 @@ mod tests {
     }
 
     #[test]
+    fn decode_under_a_guard_is_blocking() {
+        // A cache guard live across a progressive decode stalls every hit.
+        let held = "fn f(c: &C, pm: &mut P, lod: usize) {\n    let g = lock(&c.inner);\n    pm.decode_to(lod);\n    drop(g);\n}\n";
+        let diags = lint_source("crates/tripro/src/x.rs", held, &[Rule::CondvarWaitLoop]);
+        assert_eq!(count(&diags, Rule::CondvarWaitLoop), 1, "{diags:#?}");
+        // Dropping the guard before the decode is the sanctioned shape.
+        let dropped = "fn f(c: &C, pm: &mut P, lod: usize) {\n    let g = lock(&c.inner);\n    drop(g);\n    pm.decode_to(lod);\n}\n";
+        let diags = lint_source("crates/tripro/src/x.rs", dropped, &[Rule::CondvarWaitLoop]);
+        assert!(diags.is_empty(), "{diags:#?}");
+    }
+
+    #[test]
     fn conc_rules_scoped_to_first_party_src() {
         let tripro = rules_for("crates/tripro/src/cache.rs");
         for r in CONC {

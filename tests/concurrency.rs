@@ -3,7 +3,9 @@
 //! deadlock, identical results regardless of interleaving, and cache
 //! invariants (capacity bound, decoder-state reuse) under contention.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+use tripro::fault::{self, FaultAction, Trigger};
 use tripro::{Accel, Engine, ExecStats, ObjectStore, Paradigm, QueryConfig, StoreConfig};
 use tripro_geom::vec3;
 use tripro_mesh::testutil::sphere;
@@ -30,8 +32,16 @@ fn store(n: usize) -> Arc<ObjectStore> {
     )
 }
 
+/// The failpoint registry is process-wide: every test here decodes, so
+/// each takes this gate and none sees another's armed `DECODE_LOD`.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn cache_hammering_from_many_threads() {
+    let _serial = serial();
     let s = store(16);
     let stats = ExecStats::new();
     std::thread::scope(|scope| {
@@ -59,6 +69,7 @@ fn cache_hammering_from_many_threads() {
 
 #[test]
 fn concurrent_decodes_agree_with_serial() {
+    let _serial = serial();
     let s = store(8);
     let serial_stats = ExecStats::new();
     // Serial truth: face counts per (id, lod).
@@ -92,6 +103,7 @@ fn concurrent_decodes_agree_with_serial() {
 
 #[test]
 fn tiny_cache_under_contention_stays_bounded() {
+    let _serial = serial();
     let s = store(12);
     // Force constant eviction with a cache that fits ~2 decoded objects.
     let one = {
@@ -119,13 +131,13 @@ fn tiny_cache_under_contention_stays_bounded() {
     );
 }
 
-/// The sharded-cache stress of ISSUE PR 2: 8+ threads hammer overlapping
-/// `(object, LOD)` keys on a cache small enough to evict constantly, then
-/// every invariant is audited — exact hit+miss accounting, the global
-/// capacity ceiling, and (under `strict-invariants`) the per-shard LRU
-/// list / byte-counter consistency audit.
+/// Cache stress: 8+ threads hammer overlapping `(object, LOD)` keys on a
+/// cache small enough to evict constantly, then every invariant is
+/// audited — exact hit+miss accounting, the capacity ceiling, and (under
+/// `strict-invariants`) the LRU list / byte-total consistency audit.
 #[test]
-fn sharded_cache_stress_overlapping_keys() {
+fn cache_stress_overlapping_keys() {
+    let _serial = serial();
     const THREADS: usize = 8;
     const ROUNDS: usize = 60;
     let s = store(16);
@@ -195,8 +207,41 @@ fn sharded_cache_stress_overlapping_keys() {
     );
 }
 
+/// A hit never waits on another object's decode: the cache lock is
+/// released for the whole decode, so while a decode of object 1 is held
+/// up by an injected delay, a cached object 2 is still served at once.
+#[test]
+fn hit_never_waits_on_another_objects_decode() {
+    let _serial = serial();
+    let s = store(4);
+    let cache = tripro::DecodeCache::new(64 << 20);
+    let stats = ExecStats::new();
+    let get = |id: u32| cache.get(id, 1, &s.object(id).compressed, &stats);
+    get(2).unwrap();
+    fault::set(fault::DECODE_LOD, FaultAction::Delay(300), Trigger::Once);
+    let waited = std::thread::scope(|scope| {
+        let slow = scope.spawn(|| get(1).map(|d| d.triangles.len()));
+        while fault::hits(fault::DECODE_LOD) < 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let t0 = Instant::now();
+        assert!(!get(2).unwrap().triangles.is_empty());
+        let waited = t0.elapsed();
+        assert!(slow.join().unwrap().unwrap() > 0);
+        waited
+    });
+    let fired = fault::fired(fault::DECODE_LOD);
+    fault::clear();
+    assert_eq!(fired, 1, "the delayed decode ran");
+    assert!(
+        waited < Duration::from_millis(100),
+        "hit waited {waited:?} behind another object's decode"
+    );
+}
+
 #[test]
 fn join_results_stable_across_thread_counts() {
+    let _serial = serial();
     let t = store(12);
     let s = store(12);
     let engine = Engine::new(&t, &s);

@@ -1,100 +1,16 @@
 //! Bounded-exhaustive interleaving tests for the engine's concurrency
 //! protocols, using the deterministic model explorer in `tripro::sync::model`.
 //!
-//! Each test expresses one real protocol — decode-cache shard accounting,
-//! pool job handoff, span-ring publication — as a small op program over
-//! virtual threads and runs *every* schedule up to a bound, checking
-//! invariants after each atomic step. A failing schedule is reported as a
-//! replayable thread-index trace. The model is sequentially consistent;
-//! weak-memory concerns are handled by the `atomic_ordering` lint and the
-//! Miri/TSan CI jobs (see docs/concurrency.md).
+//! Each test expresses one real protocol — pool job handoff, span-ring
+//! publication — as a small op program over virtual threads and runs
+//! *every* schedule up to a bound, checking invariants after each atomic
+//! step; a seeded-bug self-test proves the explorer catches a torn write.
+//! A failing schedule is reported as a replayable thread-index trace. The
+//! model is sequentially consistent; weak-memory concerns are handled by
+//! the `atomic_ordering` lint and the Miri/TSan CI jobs (see
+//! docs/concurrency.md).
 
 use tripro::sync::model::{at, step, wait_while, Model, Op, Thread};
-
-/// The decode cache's accounting protocol (crates/tripro/src/cache.rs):
-/// entries live in per-shard maps behind shard mutexes, while the byte
-/// budget `used` is a *separate* atomic counter updated after the shard
-/// lock is released. The counter therefore lags the maps transiently —
-/// that is by design (it is an advisory budget) — but at quiescence it
-/// must equal the bytes actually resident, under EVERY interleaving of
-/// two inserters and a concurrent evictor.
-#[test]
-fn cache_shard_accounting_converges_under_all_schedules() {
-    #[derive(Default)]
-    struct S {
-        shard: [Vec<i64>; 2],
-        /// The modeled atomic byte counter (may transiently disagree with
-        /// the shard contents, exactly like the real `AtomicUsize`).
-        used: i64,
-        /// Per-thread pending delta: bytes inserted/evicted under the
-        /// shard lock but not yet folded into `used`.
-        delta: [i64; 3],
-    }
-    const CAP: i64 = 100;
-
-    // Writers 0 and 1 each insert one 64-byte entry into their own shard
-    // (the real cache shards by key hash), then publish the delta.
-    let writer = |t: usize| {
-        Thread::new(vec![
-            Op::Lock(at(t)),
-            step(move |s: &mut S, _| {
-                s.shard[t].push(64);
-                s.delta[t] = 64;
-            }),
-            Op::Unlock(at(t)),
-            step(move |s: &mut S, _| s.used += s.delta[t]),
-        ])
-    };
-    // The evictor models `enforce_capacity`: sweep both shards, evicting
-    // whenever the (possibly stale) counter reads over budget.
-    let evict_pass = |shard: usize| {
-        vec![
-            Op::Lock(at(shard)),
-            step(move |s: &mut S, t| {
-                s.delta[t] = if s.used > CAP {
-                    s.shard[shard].pop().map_or(0, |b| -b)
-                } else {
-                    0
-                };
-            }),
-            Op::Unlock(at(shard)),
-            step(move |s: &mut S, t| s.used += s.delta[t]),
-        ]
-    };
-    let mut evictor_ops = evict_pass(0);
-    evictor_ops.extend(evict_pass(1));
-
-    let model = Model {
-        threads: vec![writer(0), writer(1), Thread::new(evictor_ops)],
-        mutexes: 2,
-        condvars: 0,
-    };
-    let report = model
-        .explore(
-            S::default,
-            // No transient invariant on `used`: the counter is advisory
-            // and lags the maps by construction.
-            |_| Ok(()),
-            |s| {
-                let resident: i64 = s.shard.iter().flatten().sum();
-                if s.used == resident {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "counter drift survived quiescence: used={} resident={resident}",
-                        s.used
-                    ))
-                }
-            },
-            2_000_000,
-        )
-        .expect("shard accounting must converge under every schedule");
-    assert!(report.complete, "schedule space not exhausted");
-    assert!(
-        report.schedules > 100,
-        "suspiciously few schedules explored"
-    );
-}
 
 /// The worker pool's job handoff (crates/tripro/src/pool.rs): the caller
 /// posts a job epoch under the state mutex and notifies the work condvar;
