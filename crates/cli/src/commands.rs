@@ -185,37 +185,6 @@ pub fn lods(a: &Parsed) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `tripro render` — rasterise one object to a PPM image.
-pub fn render(a: &Parsed) -> Result<(), CliError> {
-    let store = load_store(a.require("store")?)?;
-    let id: u32 = a.get_parsed("id", 0u32)?;
-    if id as usize >= store.len() {
-        return Err(CliError::msg(format!(
-            "object {id} out of range (store has {})",
-            store.len()
-        )));
-    }
-    let out = a.require("out")?;
-    let size: usize = a.get_parsed("size", 640usize)?;
-    let lod: usize = a.get_parsed("lod", store.max_lod(id))?;
-    let stats = ExecStats::new();
-    let data = store.get(id, lod, &stats)?;
-    let cam = tripro_viz::Camera::isometric(store.mbb(id));
-    let opts = tripro_viz::RenderOptions {
-        width: size,
-        height: size,
-        ..Default::default()
-    };
-    let img = tripro_viz::render_triangles(&data.triangles, &cam, &opts);
-    img.save_ppm(out)?;
-    eprintln!(
-        "rendered object {id} LOD {} ({} faces) to {out}",
-        lod.min(store.max_lod(id)),
-        data.triangles.len()
-    );
-    Ok(())
-}
-
 fn load_store(dir: &str) -> Result<ObjectStore, CliError> {
     ObjectStore::load_dir(Path::new(dir), 256 << 20)
         .map_err(|e| CliError::msg(format!("{dir}: {e}")))

@@ -34,7 +34,6 @@ fn run(argv: &[String]) -> Result<(), error::CliError> {
         Some("build") => commands::build(&args::Parsed::parse(&argv[1..])?),
         Some("info") => commands::info(&args::Parsed::parse(&argv[1..])?),
         Some("lods") => commands::lods(&args::Parsed::parse(&argv[1..])?),
-        Some("render") => commands::render(&args::Parsed::parse(&argv[1..])?),
         Some("serve") => commands::serve(&args::Parsed::parse(&argv[1..])?),
         Some("metrics") => commands::metrics(&args::Parsed::parse(&argv[1..])?),
         Some("trace") => commands::trace(&args::Parsed::parse(&argv[1..])?),
@@ -71,9 +70,6 @@ USAGE:
 
   tripro lods --store DIR --id N --out DIR
       Export every LOD of one object as OBJ files.
-
-  tripro render --store DIR --id N --out FILE.ppm [--lod L] [--size S]
-      Render one object (at LOD L, default full) to a PPM image.
 
   tripro query intersect --target DIR --source DIR [--fr] [--accel A] [--threads T]
   tripro query within    --target DIR --source DIR --distance D [--fr] [--accel A]
@@ -122,7 +118,7 @@ USAGE:
       Run one query per target object with span tracing enabled and print
       the slow-query log: the N worst (default 8) request traces at or
       over the MS threshold (default 0 = trace everything), rendered as
-      indented span trees (filter, refine rounds, decodes, pool tasks).
+      indented span trees (filter, refine rounds, decodes, cache touches).
 
   tripro trace --addr HOST:PORT
       Instead fetch the slow-query log of a running server over a

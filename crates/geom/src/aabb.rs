@@ -207,22 +207,6 @@ impl Aabb {
         d2
     }
 
-    /// Maximum distance from a point to any point in the box.
-    #[inline]
-    pub fn max_dist_point(&self, p: Vec3) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let mut d2 = 0.0;
-        for axis in 0..3 {
-            let g = (p[axis] - self.lo[axis])
-                .abs()
-                .max((p[axis] - self.hi[axis]).abs());
-            d2 += g * g;
-        }
-        d2.sqrt()
-    }
-
     /// Distance range `[MINDIST, MAXDIST]` between two boxes (paper §4.2).
     #[inline]
     pub fn dist_range(&self, rhs: &Aabb) -> DistRange {
@@ -354,7 +338,6 @@ mod tests {
         let b = unit();
         assert_eq!(b.min_dist2_point(vec3(0.5, 0.5, 0.5)), 0.0);
         assert_eq!(b.min_dist2_point(vec3(2.0, 0.5, 0.5)), 1.0);
-        assert!((b.max_dist_point(Vec3::ZERO) - 3f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -24,12 +24,6 @@ pub fn closest_point_on_segment(p: Vec3, a: Vec3, b: Vec3) -> Vec3 {
     a + ab * t
 }
 
-/// Squared distance from `p` to segment `[a, b]`.
-#[inline]
-pub fn point_segment_dist2(p: Vec3, a: Vec3, b: Vec3) -> f64 {
-    p.dist2(closest_point_on_segment(p, a, b))
-}
-
 /// Closest point on a triangle to point `p` (Ericson §5.1.5, Voronoi-region
 /// classification; robust for degenerate triangles via edge fallbacks).
 pub fn closest_point_on_triangle(p: Vec3, t: &Triangle) -> Vec3 {
@@ -270,7 +264,6 @@ mod tests {
         );
         assert_eq!(closest_point_on_segment(vec3(-1.0, 1.0, 0.0), a, b), a);
         assert_eq!(closest_point_on_segment(vec3(9.0, 1.0, 0.0), a, b), b);
-        assert_eq!(point_segment_dist2(vec3(1.0, 3.0, 4.0), a, b), 25.0);
         // Degenerate segment.
         assert_eq!(closest_point_on_segment(vec3(5.0, 0.0, 0.0), a, a), a);
     }

@@ -6,7 +6,6 @@
 //! guarantee — are then evaluated on the integer grid coordinates with i128
 //! intermediate precision, which is exact for coordinates up to ±2³⁰ per axis.
 
-use crate::vec3::{vec3, Vec3};
 use std::ops::{Add, Neg, Sub};
 
 /// Maximum absolute per-axis coordinate for which the exact predicates are
@@ -37,12 +36,6 @@ impl IVec3 {
     #[inline]
     pub const fn new(x: i64, y: i64, z: i64) -> Self {
         Self { x, y, z }
-    }
-
-    /// Convert to floating point (exact for grid coordinates < 2⁵³).
-    #[inline]
-    pub fn to_vec3(self) -> Vec3 {
-        vec3(self.x as f64, self.y as f64, self.z as f64)
     }
 
     /// Exact dot product with i128 accumulation.
@@ -230,7 +223,6 @@ mod tests {
         assert_eq!(b - a, ivec3(9, 18, 27));
         assert_eq!(-a, ivec3(-1, -2, -3));
         assert_eq!(a.dot(b), 140);
-        assert_eq!(a.to_vec3(), vec3(1.0, 2.0, 3.0));
         assert!(a.within_exact_bounds());
         assert!(!ivec3(MAX_EXACT_COORD + 1, 0, 0).within_exact_bounds());
     }

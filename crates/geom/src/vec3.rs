@@ -121,12 +121,6 @@ impl Vec3 {
         self.x.max(self.y).max(self.z)
     }
 
-    /// Smallest component.
-    #[inline]
-    pub fn min_component(self) -> f64 {
-        self.x.min(self.y).min(self.z)
-    }
-
     /// Index (0, 1 or 2) of the component with the largest absolute value.
     #[inline]
     pub fn dominant_axis(self) -> usize {
@@ -151,12 +145,6 @@ impl Vec3 {
     #[inline]
     pub fn to_array(self) -> [f64; 3] {
         [self.x, self.y, self.z]
-    }
-
-    /// Build from an array.
-    #[inline]
-    pub fn from_array(a: [f64; 3]) -> Self {
-        vec3(a[0], a[1], a[2])
     }
 }
 
@@ -297,7 +285,6 @@ mod tests {
         assert_eq!(a.max(b), vec3(2.0, 5.0, -1.0));
         assert_eq!(a.abs(), vec3(1.0, 5.0, 3.0));
         assert_eq!(a.max_component(), 5.0);
-        assert_eq!(a.min_component(), -3.0);
         assert_eq!(a.dominant_axis(), 1);
         assert_eq!(vec3(-9.0, 1.0, 2.0).dominant_axis(), 0);
         assert_eq!(vec3(0.0, 1.0, 2.0).dominant_axis(), 2);
@@ -329,6 +316,7 @@ mod tests {
     #[test]
     fn array_roundtrip() {
         let a = vec3(1.0, -2.0, 3.5);
-        assert_eq!(Vec3::from_array(a.to_array()), a);
+        let [x, y, z] = a.to_array();
+        assert_eq!(vec3(x, y, z), a);
     }
 }

@@ -464,9 +464,8 @@ impl RetryingClient {
         loop {
             outcome.attempts += 1;
             let retry = outcome.retries; // 0-based index of the *next* retry
-            let _attempt = trace.map(|t| {
-                obs::span_for_at(
-                    t.trace_id,
+            let _attempt = trace.map(|_| {
+                obs::span_at(
                     obs::SpanKind::RetryAttempt,
                     outcome.attempts - 1,
                     obs::trace::NO_LOD,

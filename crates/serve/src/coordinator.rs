@@ -592,12 +592,13 @@ struct ShardLeg {
 /// per-query cost exemplar, and return the cluster-aggregate summary
 /// (`total_ns` is filled in by the node with the coordinator's wall).
 fn stitch(trace_id: u64, legs: &[ShardLeg]) -> Option<SpanSummary> {
-    let mut agg = SpanSummary {
-        trace_id,
-        ..SpanSummary::default()
+    let mut ex = CostExemplar {
+        total: SpanSummary {
+            trace_id,
+            ..SpanSummary::default()
+        },
+        shards: Vec::new(),
     };
-    let mut ex = CostExemplar::default();
-    let mut saw_summary = false;
     for leg in legs {
         obs::record_remote(
             SpanKind::Shard,
@@ -608,7 +609,6 @@ fn stitch(trace_id: u64, legs: &[ShardLeg]) -> Option<SpanSummary> {
             0,
         );
         let Some(s) = &leg.summary else { continue };
-        saw_summary = true;
         let mut at = leg.started;
         for (kind, ns) in [
             (SpanKind::Filter, s.filter_ns),
@@ -620,24 +620,14 @@ fn stitch(trace_id: u64, legs: &[ShardLeg]) -> Option<SpanSummary> {
                 at += Duration::from_nanos(ns);
             }
         }
-        agg.filter_ns += s.filter_ns;
-        agg.decode_ns += s.decode_ns;
-        agg.compute_ns += s.compute_ns;
-        agg.decoded_bytes += s.decoded_bytes;
-        agg.cache_hits += s.cache_hits;
-        agg.cache_misses += s.cache_misses;
-        agg.lod_rounds += s.lod_rounds;
-        agg.resolved_pairs += s.resolved_pairs;
+        ex.total.add(s);
         ex.shards.push((leg.shard, leg.wall_ns, s.decoded_bytes));
     }
-    if !saw_summary {
+    // One fanout entry per reported summary: none means nothing to sum.
+    if ex.shards.is_empty() {
         return None;
     }
-    ex.decoded_bytes = agg.decoded_bytes;
-    ex.resolved_pairs = agg.resolved_pairs;
-    ex.cache_hits = agg.cache_hits;
-    ex.cache_misses = agg.cache_misses;
-    ex.lod_rounds = agg.lod_rounds;
+    let agg = ex.total;
     obs::attach_exemplar(ex);
     Some(agg)
 }

@@ -606,7 +606,7 @@ impl<H: Handler> NodeHandle<H> {
                 snap.admitted,
                 snap.accounted(),
             );
-            return snap;
+            snap
         }
         #[cfg(not(feature = "strict-invariants"))]
         self.node.ledger.stats.snapshot()

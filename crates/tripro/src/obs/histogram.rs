@@ -224,12 +224,6 @@ impl Histogram {
         self.quantile(0.99)
     }
 
-    /// 99.9th percentile.
-    #[must_use]
-    pub fn p999(&self) -> u64 {
-        self.quantile(0.999)
-    }
-
     /// Number of samples `<= bound` (resolved at bucket granularity: a
     /// bucket counts iff its whole range fits under `bound`, so the result
     /// is a lower bound within one sub-bucket of the true count). Used for
@@ -358,7 +352,6 @@ mod tests {
             (985_000..=1_047_000).contains(&p99),
             "p99 {p99} out of tolerance"
         );
-        assert!(h.p999() >= p99);
         assert_eq!(h.quantile(0.0), h.quantile(0.001));
         assert_eq!(h.quantile(1.0), h.max());
     }

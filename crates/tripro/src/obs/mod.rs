@@ -30,9 +30,8 @@ pub use export::{
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{Metric, MetricFamily, MetricsRegistry};
 pub use trace::{
-    attach_exemplar, current_trace_id, enabled, record_remote, render_slow_log, span, span_at,
-    span_for, span_for_at, tracer, CostExemplar, SpanKind, SpanRecord, SpanSummary, TraceConfig,
-    TraceRecord, Tracer,
+    attach_exemplar, enabled, record_remote, render_slow_log, span, span_at, tracer, CostExemplar,
+    SpanKind, SpanRecord, SpanSummary, TraceConfig, TraceRecord, Tracer,
 };
 
 use std::sync::atomic::AtomicU64;
@@ -338,15 +337,14 @@ pub fn shard_subquery_histogram(shard: usize) -> &'static Histogram {
     &handles[shard.min(BACKEND_SHARDS - 1)]
 }
 
-/// `tripro_trace_dropped_total{reason}` — spans/traces discarded by the
-/// tracing sinks (`ring_overwrite` when a lapped ring slot replaces an
-/// unread span, `slow_log_evict` when slow-log retention truncates).
-/// Callers pre-bind the returned handle; see `trace.rs`.
+/// `tripro_trace_dropped_total{reason}` — traces discarded by the tracing
+/// sink (`slow_log_evict` when slow-log retention truncates). Callers
+/// pre-bind the returned handle; see `trace.rs`.
 #[must_use]
 pub fn trace_dropped_counter(reason: &'static str) -> Arc<AtomicU64> {
     registry().counter(
         "tripro_trace_dropped_total",
-        "Trace spans/records dropped by the ring and slow-log sinks.",
+        "Trace records dropped by the slow-log sink.",
         &[("reason", reason)],
     )
 }

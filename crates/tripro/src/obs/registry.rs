@@ -25,17 +25,6 @@ pub enum Metric {
     Histogram(Arc<Histogram>),
 }
 
-impl Metric {
-    /// Prometheus `# TYPE` keyword for this metric.
-    #[must_use]
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Metric::Counter(_) => "counter",
-            Metric::Histogram(_) => "histogram",
-        }
-    }
-}
-
 struct Entry {
     help: &'static str,
     metric: Metric,
@@ -222,7 +211,7 @@ mod tests {
         assert_eq!(reg.len(), 1);
         let fams = reg.families();
         assert_eq!(fams.len(), 1);
-        assert_eq!(fams[0].samples[0].1.type_name(), "counter");
+        assert!(matches!(fams[0].samples[0].1, Metric::Counter(_)));
     }
 
     #[test]

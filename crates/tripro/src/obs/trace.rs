@@ -1,33 +1,30 @@
-//! Span-based structured tracing with a lock-free ring-buffer sink and a
-//! slow-query log.
+//! Span-based structured tracing with a slow-query log.
 //!
 //! ## Model
 //!
 //! A *request* ([`Tracer::request`]) establishes a thread-local trace
 //! context carrying a trace id (the wire `request_id` in the serve layer).
 //! Within it, [`span`]/[`span_at`] guards time individual stages — filter,
-//! per-object×LOD decode, per-LOD refine round, cache touch, pool task —
-//! and stamp each [`SpanRecord`] with the propagated trace id and its
-//! nesting depth. When the request guard drops, the accumulated span tree
-//! is flushed to a global [`SpanRing`] and, if the request exceeded the
-//! slow threshold, retained whole in the [`Tracer`]'s slow log (the N
-//! worst requests, with full span trees).
+//! per-object×LOD decode, per-LOD refine round, cache touch, retry attempt
+//! — and stamp each [`SpanRecord`] with the request's trace id and its
+//! nesting depth. When the request guard drops, a request that exceeded
+//! the slow threshold is retained whole in the [`Tracer`]'s slow log (the
+//! N worst requests, with full span trees); a faster one is discarded.
 //!
-//! Spans recorded outside any request context (e.g. from pool helper
-//! threads) go straight to the ring, carrying whatever trace id was
-//! propagated to them explicitly (see `pool.rs`) or 0 for none.
+//! A span opened on a thread with no request context (e.g. a pool helper
+//! thread) is inert: there is no trace for it to join.
 //!
 //! ## Cost discipline
 //!
 //! Tracing is **off by default**: every entry point first does one relaxed
 //! atomic load ([`enabled`], `#[inline]`) and returns an inert guard, so a
-//! disabled tracer adds a branch, not a syscall, to the hot path. The ring
-//! claims slots wait-free with a `fetch_add` cursor; only the slot write
-//! itself takes a tiny per-slot mutex to order wrap-around writers.
+//! disabled tracer adds a branch, not a syscall, to the hot path. An
+//! enabled span pushes onto its thread's own context; the only lock is the
+//! slow log's, taken once per retained request.
 
 use crate::sync::{lock, Mutex};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -53,8 +50,6 @@ pub enum SpanKind {
     Compute,
     /// Decode-cache miss handling (lookup + insert bookkeeping).
     CacheTouch,
-    /// One worker-pool task execution (broadcast job claim).
-    PoolTask,
     /// One remote shard sub-query, stitched into a coordinator trace from
     /// the shard's wire span summary (`object` carries the shard index).
     Shard,
@@ -74,7 +69,6 @@ impl SpanKind {
             SpanKind::RefineRound => "refine_round",
             SpanKind::Compute => "compute",
             SpanKind::CacheTouch => "cache_touch",
-            SpanKind::PoolTask => "pool_task",
             SpanKind::Shard => "shard",
             SpanKind::RetryAttempt => "retry_attempt",
         }
@@ -94,8 +88,7 @@ pub struct SpanRecord {
     pub object: u32,
     /// LOD, or [`NO_LOD`].
     pub lod: u32,
-    /// Start offset from the enclosing request start (ns); for spans
-    /// without a request context, offset from tracer creation.
+    /// Start offset from the enclosing request start (ns).
     pub start_ns: u64,
     /// Duration (ns).
     pub dur_ns: u64,
@@ -177,6 +170,20 @@ impl SpanSummary {
         }
     }
 
+    /// Add `other`'s stage times and counters into `self`. `trace_id` and
+    /// `total_ns` stay as they are: the request's identity and wall time
+    /// belong to whoever owns the sum.
+    pub fn add(&mut self, other: &SpanSummary) {
+        self.filter_ns += other.filter_ns;
+        self.decode_ns += other.decode_ns;
+        self.compute_ns += other.compute_ns;
+        self.decoded_bytes += other.decoded_bytes;
+        self.cache_hits += other.cache_hits;
+        self.cache_misses += other.cache_misses;
+        self.lod_rounds += other.lod_rounds;
+        self.resolved_pairs += other.resolved_pairs;
+    }
+
     /// Decode-cache hit ratio in `[0, 1]`; 0.0 when nothing was requested.
     #[must_use]
     pub fn hit_ratio(&self) -> f64 {
@@ -187,28 +194,7 @@ impl SpanSummary {
             self.cache_hits as f64 / total as f64
         }
     }
-}
 
-/// Per-query cost attribution retained with a slow trace: the exemplar
-/// that links the decode-cost metrics back to a concrete trace (the
-/// margin planner's input signal — see ROADMAP).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CostExemplar {
-    /// Bytes of geometry decoded for this query (all shards).
-    pub decoded_bytes: u64,
-    /// Object pairs resolved by this query (all shards).
-    pub resolved_pairs: u64,
-    /// Decode-cache hits / misses (all shards).
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    /// Refinement rounds executed (all shards).
-    pub lod_rounds: u64,
-    /// Per-shard fanout contribution: `(shard, sub_query_wall_ns,
-    /// decoded_bytes)`, one entry per shard that worked on the query.
-    pub shards: Vec<(u32, u64, u64)>,
-}
-
-impl CostExemplar {
     /// Decoded bytes per resolved pair; 0.0 when nothing was resolved.
     #[must_use]
     pub fn bytes_per_pair(&self) -> f64 {
@@ -218,31 +204,35 @@ impl CostExemplar {
             self.decoded_bytes as f64 / self.resolved_pairs as f64
         }
     }
+}
 
-    /// Decode-cache hit ratio in `[0, 1]`.
-    #[must_use]
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
+/// Per-query cost attribution retained with a slow trace: the exemplar
+/// that links the decode-cost metrics back to a concrete trace (the
+/// margin planner's input signal — see ROADMAP).
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct CostExemplar {
+    /// The query's work summed over every shard that reported it.
+    pub total: SpanSummary,
+    /// Per-shard fanout contribution: `(shard, sub_query_wall_ns,
+    /// decoded_bytes)`, one entry per shard that worked on the query.
+    pub shards: Vec<(u32, u64, u64)>,
+}
 
+impl CostExemplar {
     /// Render the attribution lines appended to a slow-trace tree.
     #[must_use]
     pub fn render(&self) -> String {
+        let t = &self.total;
         let mut out = format!(
             "cost: {} decoded bytes / {} resolved pairs = {:.1} B/pair, \
              cache {}/{} ({:.1}% hit), {} lod rounds",
-            self.decoded_bytes,
-            self.resolved_pairs,
-            self.bytes_per_pair(),
-            self.cache_hits,
-            self.cache_hits + self.cache_misses,
-            self.hit_ratio() * 100.0,
-            self.lod_rounds,
+            t.decoded_bytes,
+            t.resolved_pairs,
+            t.bytes_per_pair(),
+            t.cache_hits,
+            t.cache_hits + t.cache_misses,
+            t.hit_ratio() * 100.0,
+            t.lod_rounds,
         );
         if !self.shards.is_empty() {
             out.push_str("\nfanout:");
@@ -298,11 +288,8 @@ impl TraceRecord {
     }
 }
 
-/// Capacity of the process-wide span ring (a power of two).
-const RING_CAPACITY: usize = 4096;
-
 /// Tracing configuration. `Default` is disabled with a 50ms slow threshold
-/// and the 8 worst requests retained; the span ring holds 4096 spans.
+/// and the 8 worst requests retained.
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Master switch; when false every span entry point is a no-op stub.
@@ -323,53 +310,6 @@ impl Default for TraceConfig {
     }
 }
 
-/// Lock-free-claim span ring: a `fetch_add` cursor hands out slots
-/// wait-free; each slot is a small mutex so lapped writers stay ordered.
-pub struct SpanRing {
-    // LOCK-RANK(90): per-slot span mutexes; leaf locks of the obs plane,
-    // held only for a single record swap.
-    slots: Box<[Mutex<Option<SpanRecord>>]>,
-    cursor: AtomicUsize,
-}
-
-impl SpanRing {
-    fn new() -> Self {
-        Self {
-            slots: (0..RING_CAPACITY).map(|_| Mutex::new(None)).collect(),
-            cursor: AtomicUsize::new(0),
-        }
-    }
-
-    fn push(&self, record: SpanRecord) {
-        let i = self.cursor.fetch_add(1, Ordering::Relaxed) & (self.slots.len() - 1);
-        if let Some(slot) = self.slots.get(i) {
-            if lock(slot).replace(record).is_some() {
-                // A lapped writer just discarded an unread span: make the
-                // loss visible so an undersized ring is diagnosable.
-                ring_overwrite_drops().fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Snapshot the ring contents, oldest first (best effort under
-    /// concurrent writers).
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let cursor = self.cursor.load(Ordering::Relaxed);
-        let cap = self.slots.len();
-        let mut out = Vec::new();
-        for off in 0..cap {
-            let i = (cursor + off) & (cap - 1);
-            if let Some(slot) = self.slots.get(i) {
-                if let Some(r) = lock(slot).clone() {
-                    out.push(r);
-                }
-            }
-        }
-        out
-    }
-}
-
 struct SlowLog {
     keep: usize,
     worst: Vec<TraceRecord>,
@@ -387,27 +327,20 @@ impl SlowLog {
     }
 }
 
-/// Pre-bound handles for the `tripro_trace_dropped_total{reason}` family:
-/// resolved once, then plain relaxed adds on the (already slow-path) drop
-/// sites.
-fn ring_overwrite_drops() -> &'static Arc<AtomicU64> {
-    static C: OnceLock<Arc<AtomicU64>> = OnceLock::new();
-    C.get_or_init(|| super::trace_dropped_counter("ring_overwrite"))
-}
-
+/// Pre-bound handle for `tripro_trace_dropped_total{reason="slow_log_evict"}`:
+/// resolved once, then plain relaxed adds on the (already slow-path)
+/// eviction site.
 fn slow_log_evictions() -> &'static Arc<AtomicU64> {
     static C: OnceLock<Arc<AtomicU64>> = OnceLock::new();
     C.get_or_init(|| super::trace_dropped_counter("slow_log_evict"))
 }
 
-/// The global tracer: enable/disable switch, span ring and slow log.
+/// The global tracer: enable/disable switch and slow log.
 pub struct Tracer {
     enabled: AtomicBool,
     slow_threshold_ns: AtomicU64,
-    epoch: Instant,
-    ring: SpanRing,
-    // LOCK-RANK(91): slow-trace retention list; taken after ring slot
-    // mutexes (90) on the span-finish path, never before them.
+    // LOCK-RANK(91): slow-trace retention list; leaf lock of the obs plane,
+    // taken once per retained request and by slow-log readers.
     slow: Mutex<SlowLog>,
 }
 
@@ -418,8 +351,6 @@ impl Tracer {
             slow_threshold_ns: AtomicU64::new(
                 u64::try_from(cfg.slow_threshold.as_nanos()).unwrap_or(u64::MAX),
             ),
-            epoch: Instant::now(),
-            ring: SpanRing::new(),
             slow: Mutex::new(SlowLog {
                 keep: cfg.keep.max(1),
                 worst: Vec::new(),
@@ -427,12 +358,10 @@ impl Tracer {
         }
     }
 
-    /// Apply `cfg`'s switch, threshold and retention. The ring is fixed at
-    /// `RING_CAPACITY` spans, so it stays allocation-free after startup.
+    /// Apply `cfg`'s switch, threshold and retention.
     // ORDERING: Relaxed — the switch and threshold are advisory runtime
-    // tuning; readers tolerate observing them out of order, and the span
-    // payloads themselves are published by the slot mutexes, not by these
-    // flags.
+    // tuning; readers tolerate observing them out of order, and retained
+    // traces are published by the slow-log mutex, not by these flags.
     pub fn configure(&self, cfg: &TraceConfig) {
         self.slow_threshold_ns.store(
             u64::try_from(cfg.slow_threshold.as_nanos()).unwrap_or(u64::MAX),
@@ -480,12 +409,6 @@ impl Tracer {
             });
             RequestGuard { active: true }
         })
-    }
-
-    /// Snapshot the ring (all recently completed spans).
-    #[must_use]
-    pub fn ring_snapshot(&self) -> Vec<SpanRecord> {
-        self.ring.snapshot()
     }
 
     /// The current slow log, worst request first.
@@ -537,16 +460,6 @@ pub fn render_slow_log() -> String {
         out.push('\n');
     }
     out
-}
-
-/// The trace id of the request context on this thread, or 0. Used to
-/// propagate ids across the pool boundary.
-#[must_use]
-pub fn current_trace_id() -> u64 {
-    if !enabled() {
-        return 0;
-    }
-    CTX.with(|ctx| ctx.borrow().as_ref().map_or(0, |c| c.trace_id))
 }
 
 /// Attach a per-query cost-attribution exemplar to the request context on
@@ -611,18 +524,6 @@ pub fn record_remote(
     })
 }
 
-/// Like [`span_for`] but with object/LOD attribution — used by the
-/// retrying client to tag each attempt (`object` = attempt index) under
-/// an explicitly propagated trace id.
-#[inline]
-#[must_use]
-pub fn span_for_at(trace_id: u64, kind: SpanKind, object: u32, lod: u32) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { state: None };
-    }
-    SpanGuard::open(kind, object, lod, trace_id)
-}
-
 /// Guard for a request-root trace context (see [`Tracer::request`]).
 pub struct RequestGuard {
     active: bool,
@@ -650,9 +551,6 @@ impl Drop for RequestGuard {
             dur_ns: total_ns,
         });
         spans.sort_by(|a, b| a.start_ns.cmp(&b.start_ns).then(a.depth.cmp(&b.depth)));
-        for s in &spans {
-            t.ring.push(s.clone());
-        }
         // ORDERING: Relaxed — the threshold is advisory tuning; a stale
         // read misclassifies at most the traces racing a reconfigure.
         if total_ns >= t.slow_threshold_ns.load(Ordering::Relaxed) {
@@ -675,15 +573,13 @@ struct SpanState {
     kind: SpanKind,
     object: u32,
     lod: u32,
-    /// Explicitly propagated trace id (for spans on threads without a
-    /// request context, e.g. pool helpers); 0 = use the thread context.
-    trace_id: u64,
     start: Instant,
     depth: u16,
 }
 
 /// Time a stage with no object/LOD attribution. `#[inline]` no-op stub
-/// when tracing is disabled: one relaxed load, no clock read.
+/// when tracing is disabled (one relaxed load) or the thread has no
+/// request context (no clock read).
 #[inline]
 #[must_use]
 pub fn span(kind: SpanKind) -> SpanGuard {
@@ -698,38 +594,24 @@ pub fn span_at(kind: SpanKind, object: u32, lod: u32) -> SpanGuard {
     if !enabled() {
         return SpanGuard { state: None };
     }
-    SpanGuard::open(kind, object, lod, 0)
-}
-
-/// Time a span on behalf of an explicitly propagated trace id — used by
-/// pool helper threads, which run outside the requesting thread's context.
-#[inline]
-#[must_use]
-pub fn span_for(trace_id: u64, kind: SpanKind) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { state: None };
-    }
-    SpanGuard::open(kind, NO_OBJECT, NO_LOD, trace_id)
+    SpanGuard::open(kind, object, lod)
 }
 
 impl SpanGuard {
-    fn open(kind: SpanKind, object: u32, lod: u32, trace_id: u64) -> SpanGuard {
+    /// Open a span one level below the thread's current depth; inert when
+    /// the thread has no request context.
+    fn open(kind: SpanKind, object: u32, lod: u32) -> SpanGuard {
         let depth = CTX.with(|ctx| {
-            let mut ctx = ctx.borrow_mut();
-            match ctx.as_mut() {
-                Some(c) => {
-                    c.depth = c.depth.saturating_add(1);
-                    c.depth
-                }
-                None => 1,
-            }
+            ctx.borrow_mut().as_mut().map(|c| {
+                c.depth = c.depth.saturating_add(1);
+                c.depth
+            })
         });
         SpanGuard {
-            state: Some(SpanState {
+            state: depth.map(|depth| SpanState {
                 kind,
                 object,
                 lod,
-                trace_id,
                 start: Instant::now(),
                 depth,
             }),
@@ -743,41 +625,24 @@ impl Drop for SpanGuard {
             return;
         };
         let dur_ns = u64::try_from(s.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let recorded_in_ctx = CTX.with(|ctx| {
-            let mut ctx = ctx.borrow_mut();
-            match ctx.as_mut() {
-                Some(c) => {
-                    let start_ns =
-                        u64::try_from(s.start.duration_since(c.start).as_nanos()).unwrap_or(0);
-                    c.spans.push(SpanRecord {
-                        trace_id: c.trace_id,
-                        kind: s.kind,
-                        depth: s.depth,
-                        object: s.object,
-                        lod: s.lod,
-                        start_ns,
-                        dur_ns,
-                    });
-                    c.depth = c.depth.saturating_sub(1);
-                    true
-                }
-                None => false,
+        CTX.with(|ctx| {
+            // The request may have closed while this span was open; its
+            // trace is already final, so the span has nowhere to go.
+            if let Some(c) = ctx.borrow_mut().as_mut() {
+                let start_ns =
+                    u64::try_from(s.start.duration_since(c.start).as_nanos()).unwrap_or(0);
+                c.spans.push(SpanRecord {
+                    trace_id: c.trace_id,
+                    kind: s.kind,
+                    depth: s.depth,
+                    object: s.object,
+                    lod: s.lod,
+                    start_ns,
+                    dur_ns,
+                });
+                c.depth = c.depth.saturating_sub(1);
             }
         });
-        if !recorded_in_ctx {
-            let t = tracer();
-            let start_ns =
-                u64::try_from(s.start.duration_since(t.epoch).as_nanos()).unwrap_or(u64::MAX);
-            t.ring.push(SpanRecord {
-                trace_id: s.trace_id,
-                kind: s.kind,
-                depth: s.depth,
-                object: s.object,
-                lod: s.lod,
-                start_ns,
-                dur_ns,
-            });
-        }
     }
 }
 
@@ -805,14 +670,29 @@ mod tests {
     #[test]
     fn disabled_spans_are_inert() {
         let _g = lock(&GATE);
-        tracer().set_enabled(false);
-        let before = tracer().ring_snapshot().len();
+        tracer().configure(&TraceConfig {
+            enabled: false,
+            slow_threshold: Duration::ZERO,
+            keep: 4,
+        });
+        tracer().clear_slow_log();
         {
-            let _g = span(SpanKind::Filter);
-            let _h = span_at(SpanKind::Decode, 3, 1);
+            let _req = tracer().request(0xD15A);
+            let f = span(SpanKind::Filter);
+            let d = span_at(SpanKind::Decode, 3, 1);
+            assert!(f.state.is_none() && d.state.is_none());
         }
-        assert_eq!(tracer().ring_snapshot().len(), before);
-        assert_eq!(current_trace_id(), 0);
+        assert!(tracer().slow_log().is_empty());
+    }
+
+    #[test]
+    fn spans_without_context_are_inert() {
+        with_tracing(|| {
+            let g = span_at(SpanKind::Decode, 3, 1);
+            assert!(g.state.is_none(), "no request context, no clock read");
+            drop(g);
+            assert!(tracer().slow_log().is_empty());
+        });
     }
 
     #[test]
@@ -820,7 +700,6 @@ mod tests {
         with_tracing(|| {
             {
                 let _req = tracer().request(0xABCD);
-                assert_eq!(current_trace_id(), 0xABCD);
                 let _f = span(SpanKind::Filter);
                 drop(_f);
                 {
@@ -869,32 +748,9 @@ mod tests {
     }
 
     #[test]
-    fn spans_without_context_go_to_ring_with_propagated_id() {
-        with_tracing(|| {
-            {
-                let _g = span_for(0x51, SpanKind::PoolTask);
-            }
-            let ring = tracer().ring_snapshot();
-            assert!(ring
-                .iter()
-                .any(|s| s.kind == SpanKind::PoolTask && s.trace_id == 0x51));
-        });
-    }
-
-    #[test]
     fn trace_drops_are_counted_by_reason() {
         with_tracing(|| {
-            let overwrites0 = ring_overwrite_drops().load(Ordering::Relaxed);
             let evictions0 = slow_log_evictions().load(Ordering::Relaxed);
-            // Lap the (4096-slot) ring twice: every slot past the first
-            // pass replaces a live record.
-            for _ in 0..(2 * 4096) {
-                let _g = span(SpanKind::CacheTouch);
-            }
-            assert!(
-                ring_overwrite_drops().load(Ordering::Relaxed) >= overwrites0 + 4096,
-                "lapping the ring must count overwrites"
-            );
             // keep=4 (with_tracing config): 10 zero-threshold requests
             // force at least 6 evictions.
             for i in 0..10u64 {
@@ -923,11 +779,14 @@ mod tests {
                     1
                 ));
                 assert!(attach_exemplar(CostExemplar {
-                    decoded_bytes: 4096,
-                    resolved_pairs: 8,
-                    cache_hits: 3,
-                    cache_misses: 1,
-                    lod_rounds: 2,
+                    total: SpanSummary {
+                        decoded_bytes: 4096,
+                        resolved_pairs: 8,
+                        cache_hits: 3,
+                        cache_misses: 1,
+                        lod_rounds: 2,
+                        ..SpanSummary::default()
+                    },
                     shards: vec![(2, 5_000_000, 4096)],
                 }));
             }
@@ -950,12 +809,19 @@ mod tests {
                 .expect("stitched child span");
             assert_eq!(child.depth, shard.depth + 1);
             let ex = t.exemplar.as_ref().expect("exemplar retained");
-            assert!((ex.bytes_per_pair() - 512.0).abs() < 1e-9);
-            assert!((ex.hit_ratio() - 0.75).abs() < 1e-9);
+            assert!((ex.total.bytes_per_pair() - 512.0).abs() < 1e-9);
+            assert!((ex.total.hit_ratio() - 0.75).abs() < 1e-9);
             let rendered = t.render();
             assert!(rendered.contains("shard=2"), "{rendered}");
-            assert!(rendered.contains("512.0 B/pair"), "{rendered}");
-            assert!(rendered.contains("fanout: shard 2"), "{rendered}");
+            // The exemplar's lines close the trace, indented under it.
+            assert!(
+                rendered.ends_with(
+                    "\n  cost: 4096 decoded bytes / 8 resolved pairs = 512.0 B/pair, \
+                     cache 3/4 (75.0% hit), 2 lod rounds\n  \
+                     fanout: shard 2 5.000ms 4096B;\n"
+                ),
+                "{rendered}"
+            );
         });
         // Outside a request context both primitives refuse quietly.
         let _g = lock(&GATE);
@@ -970,17 +836,5 @@ mod tests {
         ));
         assert!(!attach_exemplar(CostExemplar::default()));
         tracer().set_enabled(false);
-    }
-
-    #[test]
-    fn ring_wraps_without_loss_of_recent_spans() {
-        with_tracing(|| {
-            for _ in 0..(4096 + 64) {
-                let _g = span(SpanKind::CacheTouch);
-            }
-            let ring = tracer().ring_snapshot();
-            assert!(!ring.is_empty());
-            assert!(ring.len() <= 4096);
-        });
     }
 }

@@ -62,9 +62,6 @@ struct Job {
     /// When the region was posted — each helper claim records the post→claim
     /// gap into the pool queue-wait histogram.
     posted: Instant,
-    /// Trace id of the posting request (0 = none), propagated so helper
-    /// task spans attribute to the request they serve.
-    trace_id: u64,
 }
 
 #[derive(Default)]
@@ -181,7 +178,6 @@ impl WorkerPool {
                 active: 0,
                 panic: None,
                 posted: Instant::now(),
-                trace_id: obs::current_trace_id(),
             });
             self.shared.work_cv.notify_all();
             epoch
@@ -242,14 +238,13 @@ fn worker_loop(shared: &Shared) {
                 // pipelining telemetry, recorded once per claim.
                 obs::pool_wait_histogram().record_duration(job.posted.elapsed());
                 obs::pool_occupancy_histogram().record(job.active as u64 + 1);
-                Some((job.ptr, job.call, job.epoch, idx, job.trace_id))
+                Some((job.ptr, job.call, job.epoch, idx))
             }
             _ => None,
         };
         match claim {
-            Some((ptr, call, epoch, idx, trace_id)) => {
+            Some((ptr, call, epoch, idx)) => {
                 drop(st);
-                let _task = obs::span_for(trace_id, obs::SpanKind::PoolTask);
                 // The claim above incremented `active` under the lock, so
                 // the `run_with` frame owning `ptr` cannot return (and the
                 // closure cannot be dropped) until the decrement below.

@@ -8,9 +8,9 @@
 //!   every non-test module uses instead of raw `.lock()`. They are also
 //!   the anchor the `lock_order`/`condvar_wait_loop` lints key on.
 //! * [`model`] — a dependency-free, loom-in-spirit bounded-exhaustive
-//!   schedule explorer. Concurrency protocols (pool job handoff,
-//!   span-ring publication) are written as small op
-//!   programs over virtual threads, and every interleaving up to a bound
+//!   schedule explorer. Concurrency protocols (the pool job handoff) are
+//!   written as small op programs over virtual threads, and every
+//!   interleaving up to a bound
 //!   is executed with invariants checked after each atomic step. The
 //!   model is sequentially consistent — weak-memory effects are covered
 //!   statically by the `atomic_ordering` lint and dynamically by the

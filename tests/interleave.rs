@@ -1,10 +1,10 @@
 //! Bounded-exhaustive interleaving tests for the engine's concurrency
 //! protocols, using the deterministic model explorer in `tripro::sync::model`.
 //!
-//! Each test expresses one real protocol — pool job handoff, span-ring
-//! publication — as a small op program over virtual threads and runs
-//! *every* schedule up to a bound, checking invariants after each atomic
-//! step; a seeded-bug self-test proves the explorer catches a torn write.
+//! A test expresses one real protocol — the pool job handoff — as a small
+//! op program over virtual threads and runs *every* schedule up to a bound,
+//! checking invariants after each atomic step; a seeded-bug self-test
+//! proves the explorer catches a torn write.
 //! A failing schedule is reported as a replayable thread-index trace. The
 //! model is sequentially consistent; weak-memory concerns are handled by
 //! the `atomic_ordering` lint and the Miri/TSan CI jobs (see
@@ -79,85 +79,11 @@ fn pool_job_handoff_is_lost_wakeup_free() {
     assert!(report.complete, "schedule space not exhausted");
 }
 
-/// Span-ring publication (crates/tripro/src/obs/trace.rs): writers claim a
-/// slot index with an atomic cursor fetch_add (one indivisible step), then
-/// fill the slot's record under the slot lock; the scraper reads under the
-/// same lock. A record is multiple words, so lockless writes could tear —
-/// the locked protocol must never expose a half-written record.
-#[test]
-fn span_ring_publication_is_torn_free() {
-    #[derive(Default)]
-    struct S {
-        cursor: usize,
-        claim: [usize; 2],
-        /// Each slot is a two-word record; a consistent record has
-        /// matching halves.
-        slot: [(u32, u32); 2],
-        torn_seen: Option<(u32, u32)>,
-    }
-
-    // Writer t: claim a slot (atomic step), then write both halves of the
-    // record in one critical section under that slot's lock.
-    let writer = |t: usize, val: u32| {
-        Thread::new(vec![
-            step(move |s: &mut S, _| {
-                s.claim[t] = s.cursor;
-                s.cursor += 1;
-            }),
-            Op::Lock(Box::new(move |s: &S| s.claim[t] % 2)),
-            step(move |s: &mut S, _| {
-                let i = s.claim[t] % 2;
-                s.slot[i] = (val, val);
-            }),
-            Op::Unlock(Box::new(move |s: &S| s.claim[t] % 2)),
-        ])
-    };
-    // The scraper walks both slots under their locks and records any
-    // inconsistent (torn) snapshot it observes.
-    let scrape_slot = |i: usize| {
-        vec![
-            Op::Lock(at(i)),
-            step(move |s: &mut S, _| {
-                if s.slot[i].0 != s.slot[i].1 {
-                    s.torn_seen = Some(s.slot[i]);
-                }
-            }),
-            Op::Unlock(at(i)),
-        ]
-    };
-    let mut scraper_ops = scrape_slot(0);
-    scraper_ops.extend(scrape_slot(1));
-
-    let model = Model {
-        threads: vec![writer(0, 7), writer(1, 9), Thread::new(scraper_ops)],
-        mutexes: 2,
-        condvars: 0,
-    };
-    let report = model
-        .explore(
-            S::default,
-            |s| match s.torn_seen {
-                None => Ok(()),
-                Some(r) => Err(format!("scraper observed torn record {r:?}")),
-            },
-            |s| {
-                if s.cursor == 2 {
-                    Ok(())
-                } else {
-                    Err(format!("cursor={} after two claims", s.cursor))
-                }
-            },
-            2_000_000,
-        )
-        .expect("locked slot publication can never tear");
-    assert!(report.complete, "schedule space not exhausted");
-}
-
-/// Seeded-bug check: remove the slot lock and split the two-word write
-/// into two steps (the bug the locked protocol prevents) — the explorer
-/// must find a schedule where the scraper observes a torn record. This is
-/// the harness's proof-of-life: it demonstrably catches the defect class
-/// the ring protocol exists to rule out.
+/// Seeded-bug check: a two-word record written in two unlocked steps while
+/// a reader looks at it — the explorer must find a schedule where the
+/// reader observes a torn record. This is the harness's proof-of-life: it
+/// demonstrably catches the defect class that locking a multi-word
+/// publication exists to rule out.
 #[test]
 fn explorer_catches_lockless_torn_write() {
     #[derive(Default)]
