@@ -3,7 +3,9 @@
 //!
 //! Objects have ragged LOD ladders (decimation stalls at different depths),
 //! so shares are computed per object and averaged, with the object count
-//! per level reported.
+//! per level reported. Each level also reports the share of its segments
+//! stored as plain varint bytes (the rest are range-coded, because coding
+//! saved at least 1/16 of their bytes).
 //!
 //! ```sh
 //! cargo run --release -p tripro-bench --bin fig9
@@ -20,18 +22,22 @@ fn main() {
         // Per-object shares, accumulated positionally.
         let mut share_sum: Vec<f64> = Vec::new();
         let mut counts: Vec<usize> = Vec::new();
+        let mut plain: Vec<usize> = Vec::new();
         let mut total_bytes = 0usize;
         for id in 0..store.len() as u32 {
-            let sizes = store.object(id).compressed.segment_sizes();
+            let cm = &store.object(id).compressed;
+            let sizes = cm.segment_sizes();
             let total: usize = sizes.iter().sum();
             total_bytes += total;
-            for (i, s) in sizes.iter().enumerate() {
+            for (i, (s, p)) in sizes.iter().zip(cm.plain_segments()).enumerate() {
                 if share_sum.len() <= i {
                     share_sum.push(0.0);
                     counts.push(0);
+                    plain.push(0);
                 }
                 share_sum[i] += *s as f64 / total as f64;
                 counts[i] += 1;
+                plain[i] += usize::from(p);
             }
         }
         out.blank();
@@ -40,11 +46,12 @@ fn main() {
             total_bytes / 1024,
             store.len()
         ));
-        for (lod, (sum, n)) in share_sum.iter().zip(&counts).enumerate() {
+        for (lod, ((sum, n), p)) in share_sum.iter().zip(&counts).zip(&plain).enumerate() {
             let share = sum / *n as f64 * 100.0;
+            let plain = *p as f64 / *n as f64 * 100.0;
             let bar = "#".repeat((share / 2.0).round() as usize);
             out.line(format!(
-                "  LOD{lod:<2} {share:>5.1}%  ({n:>4} objects)  {bar}"
+                "  LOD{lod:<2} {share:>5.1}%  ({n:>4} objects, {plain:>5.1}% plain)  {bar}"
             ));
         }
     }

@@ -12,5 +12,5 @@ pub mod range;
 pub mod varint;
 
 pub use quant::Quantizer;
-pub use range::{compress, decompress, ByteModel, RangeDecoder, RangeEncoder};
+pub use range::{compress, decompress};
 pub use varint::{unzigzag, write_f64, write_i64, write_u64, zigzag, ByteReader, DecodeError};

@@ -3,9 +3,10 @@
 //!
 //! This is the entropy-coding backend of the PPVP compressed format: the
 //! base-mesh connectivity, ring references and quantised coordinate deltas
-//! are serialised as byte streams and squeezed through this coder
-//! (the paper applies "entropy encoding and adaptive quantization" from the
-//! PPMC line of work, §6.2).
+//! are serialised as byte streams, and a stream is stored squeezed through
+//! this coder when that saves at least 1/16 of its bytes (the paper
+//! applies "entropy encoding and adaptive quantization" from the PPMC line
+//! of work, §6.2).
 
 use crate::varint::DecodeError;
 
@@ -15,31 +16,25 @@ const BOT: u32 = 1 << 16;
 /// Streaming carryless range encoder (Subbotin's construction: encoder and
 /// decoder mirror the same `(low, range)` state, so no carry propagation is
 /// needed).
-pub struct RangeEncoder {
+struct RangeEncoder {
     low: u32,
     range: u32,
     out: Vec<u8>,
 }
 
-impl Default for RangeEncoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl RangeEncoder {
-    pub fn new() -> Self {
+    fn new(out: Vec<u8>) -> Self {
         Self {
             low: 0,
             range: u32::MAX,
-            out: Vec::new(),
+            out,
         }
     }
 
     /// Encode a symbol occupying `[start, start+size)` out of `total`
     /// cumulative frequency. `total` must be ≤ 2¹⁶ so `range/total` never
     /// collapses to zero.
-    pub fn encode(&mut self, start: u32, size: u32, total: u32) {
+    fn encode(&mut self, start: u32, size: u32, total: u32) {
         debug_assert!(size > 0 && start + size <= total && total <= BOT);
         let r = self.range / total;
         self.low = self.low.wrapping_add(start * r);
@@ -59,8 +54,8 @@ impl RangeEncoder {
         }
     }
 
-    /// Flush pending state and return the encoded bytes.
-    pub fn finish(mut self) -> Vec<u8> {
+    /// Flush pending state and return the output buffer.
+    fn finish(mut self) -> Vec<u8> {
         for _ in 0..4 {
             self.out.push((self.low >> 24) as u8);
             self.low <<= 8;
@@ -70,7 +65,7 @@ impl RangeEncoder {
 }
 
 /// Streaming range decoder over a byte slice, mirroring [`RangeEncoder`].
-pub struct RangeDecoder<'a> {
+struct RangeDecoder<'a> {
     low: u32,
     code: u32,
     range: u32,
@@ -79,7 +74,7 @@ pub struct RangeDecoder<'a> {
 }
 
 impl<'a> RangeDecoder<'a> {
-    pub fn new(buf: &'a [u8]) -> Result<Self, DecodeError> {
+    fn new(buf: &'a [u8]) -> Self {
         let mut d = Self {
             low: 0,
             code: 0,
@@ -90,7 +85,7 @@ impl<'a> RangeDecoder<'a> {
         for _ in 0..4 {
             d.code = (d.code << 8) | d.next_byte() as u32;
         }
-        Ok(d)
+        d
     }
 
     fn next_byte(&mut self) -> u8 {
@@ -101,15 +96,16 @@ impl<'a> RangeDecoder<'a> {
         b
     }
 
-    /// Cumulative-frequency value of the next symbol, in `[0, total)`.
-    pub fn decode_freq(&mut self, total: u32) -> u32 {
+    /// The width `r = range / total` of one frequency unit, and the
+    /// cumulative-frequency value of the next symbol, in `[0, total)`.
+    fn decode_freq(&self, total: u32) -> (u32, u32) {
         let r = self.range / total;
-        (self.code.wrapping_sub(self.low) / r).min(total - 1)
+        (r, (self.code.wrapping_sub(self.low) / r).min(total - 1))
     }
 
-    /// Commit the decode of the symbol at `[start, start+size)` of `total`.
-    pub fn decode_update(&mut self, start: u32, size: u32, total: u32) {
-        let r = self.range / total;
+    /// Commit the decode of the symbol at `[start, start+size)`, in units of
+    /// the `r` that [`RangeDecoder::decode_freq`] returned for it.
+    fn decode_update(&mut self, start: u32, size: u32, r: u32) {
         self.low = self.low.wrapping_add(start * r);
         self.range = r * size;
         loop {
@@ -134,19 +130,13 @@ const INCREMENT: u32 = 24;
 /// Frequencies start uniform and adapt with every coded symbol; when the
 /// total crosses 2¹⁶ all counts are halved (floor at 1). Identical evolution
 /// on both sides keeps encoder and decoder in lockstep.
-pub struct ByteModel {
+struct ByteModel {
     freq: [u32; 256],
     total: u32,
 }
 
-impl Default for ByteModel {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ByteModel {
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self {
             freq: [1; 256],
             total: 256,
@@ -165,21 +155,21 @@ impl ByteModel {
         }
     }
 
-    pub fn encode(&mut self, enc: &mut RangeEncoder, sym: u8) {
+    fn encode(&mut self, enc: &mut RangeEncoder, sym: u8) {
         let start: u32 = self.freq[..sym as usize].iter().sum();
         enc.encode(start, self.freq[sym as usize], self.total);
         self.bump(sym);
     }
 
-    pub fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> u8 {
-        let target = dec.decode_freq(self.total);
+    fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> u8 {
+        let (r, target) = dec.decode_freq(self.total);
         let mut cum = 0u32;
         let mut sym = 0usize;
         while cum + self.freq[sym] <= target {
             cum += self.freq[sym];
             sym += 1;
         }
-        dec.decode_update(cum, self.freq[sym], self.total);
+        dec.decode_update(cum, self.freq[sym], r);
         self.bump(sym as u8);
         sym as u8
     }
@@ -191,13 +181,12 @@ impl ByteModel {
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
     crate::varint::write_u64(&mut out, data.len() as u64);
-    let mut enc = RangeEncoder::new();
+    let mut enc = RangeEncoder::new(out);
     let mut model = ByteModel::new();
     for &b in data {
         model.encode(&mut enc, b);
     }
-    out.extend_from_slice(&enc.finish());
-    out
+    enc.finish()
 }
 
 /// Inverse of [`compress`].
@@ -208,7 +197,7 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DecodeError> {
     if n > data.len().saturating_mul(256).saturating_add(1 << 20) {
         return Err(DecodeError);
     }
-    let mut dec = RangeDecoder::new(&data[r.position()..])?;
+    let mut dec = RangeDecoder::new(&data[r.position()..]);
     let mut model = ByteModel::new();
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
@@ -296,6 +285,35 @@ mod tests {
         for v in [0u8, 1, 128, 255, 3] {
             data.extend(std::iter::repeat(v).take(997));
         }
+        roundtrip(&data);
+    }
+
+    /// FNV-1a, so the pinned digest below needs no dependency.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn coded_stream_is_pinned() {
+        // Skewed pseudo-random bytes: small values dominate, as in the PPVP
+        // varint streams, so the model adapts and rescales along the way.
+        let mut data = Vec::new();
+        let mut x: u64 = 0x5eed;
+        for _ in 0..50_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let r = (x >> 33) as u32;
+            data.push(if r % 4 == 0 {
+                (r >> 8) as u8
+            } else {
+                (r >> 8) as u8 % 8
+            });
+        }
+        let c = compress(&data);
+        assert_eq!((c.len(), fnv1a(&c)), (31_724, 0x0f37_33c7_26a8_c366));
         roundtrip(&data);
     }
 

@@ -3,10 +3,11 @@
 //! The encoder runs rounds of protruding-vertex decimation over the
 //! quantised mesh, recording one invertible *removal event* per vertex. The
 //! compressed object stores the base (LOD0) mesh plus one byte segment per
-//! LOD step; each segment entropy-codes the insertion events that refine the
-//! mesh to the next LOD. Decoding is **progressive**: reaching LOD `k` only
-//! requires the first `k` segments, and a decoder can later resume to a
-//! higher LOD incrementally — exactly the access pattern the
+//! LOD step; each segment holds the insertion events that refine the mesh to
+//! the next LOD, range-coded only where that saves at least 1/16 of its
+//! bytes. Decoding is **progressive**: reaching LOD `k` only requires the
+//! first `k` segments, and a decoder can later resume to a higher LOD
+//! incrementally — exactly the access pattern the
 //! Filter-Progressive-Refine query engine needs.
 //!
 //! Because only protruding vertices are pruned, every LOD mesh covers a
@@ -17,6 +18,8 @@
 use crate::decimate::{decimate_round, PruneMode, RemovalEvent};
 use crate::mesh::{Mesh, MeshError, VertId};
 use crate::trimesh::{quantize_mesh, TriMesh};
+use std::borrow::Cow;
+use std::sync::Arc;
 use tripro_coder::{compress, decompress, ByteReader, DecodeError, Quantizer};
 use tripro_geom::{ivec3, Aabb, IVec3, Triangle};
 
@@ -51,16 +54,53 @@ impl Default for EncoderConfig {
 ///
 /// `segments[0]` holds the base mesh; `segments[k]` (k ≥ 1) holds the
 /// insertion events lifting LOD `k-1` to LOD `k`. Every segment is
-/// independently entropy-coded so partial (progressive) decoding never
-/// touches bytes beyond the requested LOD.
+/// stored independently so partial (progressive) decoding never touches
+/// bytes beyond the requested LOD. The segments are shared, not copied, with
+/// every decoder started from this object.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompressedMesh {
     pub quantizer: Quantizer,
-    segments: Vec<Vec<u8>>,
+    segments: Arc<[Vec<u8>]>,
 }
 
 const MAGIC: &[u8; 4] = b"PPVP";
-const VERSION: u8 = 2;
+const VERSION: u8 = 3;
+
+/// Segment tag: the body is the plain varint stream itself.
+const PLAIN: u8 = 0;
+/// Segment tag: the body is that stream range-coded ([`compress`]).
+const CODED: u8 = 1;
+/// A segment is range-coded only if that saves at least `1/CODE_MIN_SAVING`
+/// of its bytes. Below that margin the adaptive coder's per-byte decode cost
+/// (a division-bound chain, about half of PPVP decode) buys next to nothing.
+const CODE_MIN_SAVING: usize = 16;
+
+/// Whether a stream of `raw` bytes that range-codes to `coded` bytes is
+/// stored coded.
+const fn pays_to_code(coded: usize, raw: usize) -> bool {
+    coded * CODE_MIN_SAVING <= raw * (CODE_MIN_SAVING - 1)
+}
+
+/// Store one varint stream as a segment: a tag byte, then the body.
+fn pack_segment(raw: &[u8]) -> Vec<u8> {
+    let coded = compress(raw);
+    let (tag, body) = if pays_to_code(coded.len(), raw.len()) {
+        (CODED, &coded[..])
+    } else {
+        (PLAIN, raw)
+    };
+    [&[tag], body].concat()
+}
+
+/// The varint stream a segment stores: borrowed in place when plain,
+/// range-decoded when coded.
+fn unpack_segment(seg: &[u8]) -> Result<Cow<'_, [u8]>, DecodeError> {
+    match seg.split_first() {
+        Some((&PLAIN, body)) => Ok(Cow::Borrowed(body)),
+        Some((&CODED, body)) => Ok(Cow::Owned(decompress(body)?)),
+        _ => Err(DecodeError),
+    }
+}
 
 impl CompressedMesh {
     /// Highest decodable LOD (0 = base only).
@@ -69,9 +109,19 @@ impl CompressedMesh {
         self.segments.len() - 1
     }
 
-    /// Compressed byte size of each segment (Fig 9's per-LOD breakdown).
+    /// Compressed byte size of each segment, tag included (Fig 9's per-LOD
+    /// breakdown).
     pub fn segment_sizes(&self) -> Vec<usize> {
         self.segments.iter().map(Vec::len).collect()
+    }
+
+    /// Whether each segment is stored as plain varint bytes rather than
+    /// range-coded.
+    pub fn plain_segments(&self) -> Vec<bool> {
+        self.segments
+            .iter()
+            .map(|s| s.first() == Some(&PLAIN))
+            .collect()
     }
 
     /// Total compressed payload size in bytes (excluding container framing).
@@ -99,10 +149,10 @@ impl CompressedMesh {
         out.push(VERSION);
         self.quantizer.write(&mut out);
         tripro_coder::write_u64(&mut out, self.segments.len() as u64);
-        for s in &self.segments {
+        for s in self.segments.iter() {
             tripro_coder::write_u64(&mut out, s.len() as u64);
         }
-        for s in &self.segments {
+        for s in self.segments.iter() {
             out.extend_from_slice(s);
         }
         out
@@ -132,7 +182,7 @@ impl CompressedMesh {
         }
         Ok(Self {
             quantizer,
-            segments,
+            segments: segments.into(),
         })
     }
 
@@ -181,14 +231,14 @@ pub fn encode(tm: &TriMesh, cfg: &EncoderConfig) -> Result<CompressedMesh, MeshE
 
     // Segment 0: the base mesh.
     let mut segments = Vec::new();
-    segments.push(compress(&serialize_base(&mesh, &base_ids, &map)));
+    segments.push(pack_segment(&serialize_base(&mesh, &base_ids, &map)));
 
     // LOD segments: chunk the reversed rounds, `rounds_per_lod` per step.
     // The deepest decode segments carry the coarsest refinements. Event
     // fields are laid out *columnar* (all ring sizes, then all ring-id
     // deltas, then all position deltas): each column has a homogeneous
     // value distribution, which the adaptive order-0 entropy model exploits
-    // far better than an interleaved stream.
+    // far better than an interleaved stream when the segment is coded.
     let decode_rounds: Vec<&Vec<RemovalEvent>> = rounds.iter().rev().collect();
     for chunk in decode_rounds.chunks(cfg.rounds_per_lod) {
         let mut ks = Vec::new();
@@ -220,12 +270,12 @@ pub fn encode(tm: &TriMesh, cfg: &EncoderConfig) -> Result<CompressedMesh, MeshE
         raw.extend_from_slice(&ks);
         raw.extend_from_slice(&rings);
         raw.extend_from_slice(&positions);
-        segments.push(compress(&raw));
+        segments.push(pack_segment(&raw));
     }
 
     let cm = CompressedMesh {
         quantizer,
-        segments,
+        segments: segments.into(),
     };
     // Under strict-invariants, prove the ladder we just wrote actually has
     // the subset property the query processor relies on (P1/P2, §3).
@@ -300,19 +350,19 @@ fn serialize_event(
 /// A progressively decodable mesh: starts at LOD 0, refines on demand.
 pub struct ProgressiveMesh {
     quantizer: Quantizer,
-    /// Raw event segments for LODs not yet applied (index = LOD).
-    segments: Vec<Vec<u8>>,
+    /// The object's stored segments, shared with its [`CompressedMesh`]
+    /// (index = LOD).
+    segments: Arc<[Vec<u8>]>,
     state: Mesh,
     current_lod: usize,
 }
 
 impl ProgressiveMesh {
     fn new(cm: &CompressedMesh) -> Result<Self, DecodeError> {
-        let base_raw = decompress(&cm.segments[0])?;
-        let state = parse_base(&base_raw)?;
+        let state = parse_base(&unpack_segment(&cm.segments[0])?)?;
         Ok(Self {
             quantizer: cm.quantizer,
-            segments: cm.segments.clone(),
+            segments: Arc::clone(&cm.segments),
             state,
             current_lod: 0,
         })
@@ -335,7 +385,7 @@ impl ProgressiveMesh {
         let lod = lod.min(self.max_lod());
         while self.current_lod < lod {
             let next = self.current_lod + 1;
-            let raw = decompress(&self.segments[next])?;
+            let raw = unpack_segment(&self.segments[next])?;
             apply_segment(&mut self.state, &raw)?;
             self.current_lod = next;
         }
@@ -610,6 +660,91 @@ mod tests {
             encode(&tm, &EncoderConfig::default()),
             Err(MeshError::NotClosedManifold(_))
         ));
+    }
+
+    /// `cm` with every segment re-stored under `tag`.
+    fn retagged(cm: &CompressedMesh, tag: u8) -> CompressedMesh {
+        let segments = cm
+            .segments
+            .iter()
+            .map(|seg| {
+                let raw = unpack_segment(seg).unwrap();
+                let body = if tag == CODED {
+                    compress(&raw)
+                } else {
+                    raw.to_vec()
+                };
+                [&[tag], &body[..]].concat()
+            })
+            .collect();
+        CompressedMesh {
+            quantizer: cm.quantizer,
+            segments,
+        }
+    }
+
+    #[test]
+    fn plain_and_coded_segments_decode_to_the_same_mesh() {
+        let cm = encode(&sphere_mesh(), &EncoderConfig::default()).unwrap();
+        let (plain, coded) = (retagged(&cm, PLAIN), retagged(&cm, CODED));
+        assert!(plain.plain_segments().iter().all(|&p| p));
+        assert!(coded.plain_segments().iter().all(|&p| !p));
+        let (mut a, mut b) = (plain.decoder().unwrap(), coded.decoder().unwrap());
+        for lod in 0..=cm.max_lod() {
+            a.decode_to(lod).unwrap();
+            b.decode_to(lod).unwrap();
+            assert_eq!(a.triangles(), b.triangles(), "LOD {lod}");
+        }
+    }
+
+    #[test]
+    fn a_segment_is_coded_only_when_that_saves_a_sixteenth() {
+        // The line itself: 150 of 160 bytes saves exactly 1/16.
+        assert!(pays_to_code(150, 160));
+        assert!(!pays_to_code(151, 160));
+        assert!(!pays_to_code(160, 160));
+        // Through the encoder's packing: a skewed stream codes far below
+        // the line, a pseudo-random one does not shrink at all.
+        let skewed = vec![3u8; 4096];
+        let packed = pack_segment(&skewed);
+        assert_eq!(packed[0], CODED);
+        assert_eq!(&*unpack_segment(&packed).unwrap(), &skewed[..]);
+        let mut x: u64 = 7;
+        let noise: Vec<u8> = (0..4096)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect();
+        let packed = pack_segment(&noise);
+        assert_eq!(packed, [&[PLAIN], &noise[..]].concat());
+    }
+
+    #[test]
+    fn unknown_tag_or_empty_segment_is_a_decode_error() {
+        let cm = encode(&sphere_mesh(), &EncoderConfig::default()).unwrap();
+        let with = |lod: usize, seg: Vec<u8>| {
+            let mut segments = cm.segments.to_vec();
+            segments[lod] = seg;
+            CompressedMesh {
+                quantizer: cm.quantizer,
+                segments: segments.into(),
+            }
+        };
+        let mut retag = cm.segments[0].clone();
+        retag[0] = 2;
+        assert!(with(0, retag).decoder().is_err());
+        assert!(with(0, Vec::new()).decoder().is_err());
+        for seg in [vec![2], Vec::new()] {
+            let bad = with(1, seg);
+            let mut dec = bad.decoder().unwrap();
+            assert_eq!(dec.decode_to(1), Err(DecodeError));
+            // The bytes round-trip through the container and still fail.
+            let back = CompressedMesh::from_bytes(&bad.to_bytes()).unwrap();
+            assert!(back.decoder().unwrap().decode_to(1).is_err());
+        }
     }
 
     #[test]

@@ -78,8 +78,6 @@ impl SpanKind {
 /// One completed span.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
-    /// Propagated request/trace id (0 = none).
-    pub trace_id: u64,
     /// Stage this span measured.
     pub kind: SpanKind,
     /// Nesting depth below the request root (root = 0).
@@ -507,9 +505,7 @@ pub fn record_remote(
                 let start_ns = u64::try_from(started.saturating_duration_since(c.start).as_nanos())
                     .unwrap_or(0);
                 let depth = c.depth.saturating_add(1).saturating_add(extra_depth);
-                let trace_id = c.trace_id;
                 c.spans.push(SpanRecord {
-                    trace_id,
                     kind,
                     depth,
                     object,
@@ -542,7 +538,6 @@ impl Drop for RequestGuard {
         let t = tracer();
         let mut spans = ctx.spans;
         spans.push(SpanRecord {
-            trace_id: ctx.trace_id,
             kind: SpanKind::Request,
             depth: 0,
             object: NO_OBJECT,
@@ -632,7 +627,6 @@ impl Drop for SpanGuard {
                 let start_ns =
                     u64::try_from(s.start.duration_since(c.start).as_nanos()).unwrap_or(0);
                 c.spans.push(SpanRecord {
-                    trace_id: c.trace_id,
                     kind: s.kind,
                     depth: s.depth,
                     object: s.object,

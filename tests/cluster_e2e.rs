@@ -280,10 +280,6 @@ fn traced_cluster_query_stitches_one_waterfall_in_coordinator_slow_log() {
         "expected one stitched coordinator record, got {stitched:#?}"
     );
     let rec = &stitched[0];
-    assert!(
-        rec.spans.iter().all(|s| s.trace_id == trace.trace_id),
-        "a span lost the propagated trace id: {rec:#?}"
-    );
     let mut shards: Vec<u32> = rec
         .spans
         .iter()

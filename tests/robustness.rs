@@ -128,7 +128,7 @@ fn store_file_corruption_is_io_error() {
         (at, r.position(), n)
     };
     let objects = span(&mut r);
-    let (_, _, blob_len) = span(&mut r);
+    let (_, blob_at, blob_len) = span(&mut r);
     r.read_exact(blob_len).unwrap();
     let skeleton = span(&mut r);
     r.read_exact(skeleton.2 * 24).unwrap();
@@ -142,11 +142,17 @@ fn store_file_corruption_is_io_error() {
     };
     let mut old_magic = good.clone();
     old_magic[..4].copy_from_slice(b"3DP2");
+    // A `3DP3` file whose object is a PPVP version-2 blob (untagged
+    // segments): the object itself is refused, not misparsed.
+    let mut old_object = good.clone();
+    assert_eq!(&old_object[blob_at..blob_at + 4], b"PPVP");
+    old_object[blob_at + 4] = 2;
     for (what, data) in [
         ("object count", lie(objects)),
         ("skeleton count", lie(skeleton)),
         ("group count", lie(groups)),
         ("old magic", old_magic),
+        ("PPVP version 2", old_object),
     ] {
         std::fs::write(&path, &data).unwrap();
         let err = ObjectStore::load_dir(&dir, 0)
