@@ -45,7 +45,7 @@ fn median(xs: &mut [f64]) -> f64 {
 
 /// A loopback 3-shard cluster over the harness stores, for the
 /// distributed tracing leg: shards + coordinator in-process, queried over
-/// real TCP so the v6 trace propagation pays its true wire cost.
+/// real TCP so trace propagation pays its true wire cost.
 struct LoopCluster {
     shards: Vec<Server>,
     coord: Coordinator,
@@ -180,8 +180,8 @@ fn main() {
         fault_armed.push(c);
     }
 
-    // Distributed leg: the same budget applied to the v6 cluster path —
-    // trace-context propagation, per-shard span summaries and coordinator
+    // Distributed leg: the same budget applied to the cluster path —
+    // trace-context propagation, per-shard stats summaries and coordinator
     // stitching must stay inside the tracing budget end to end. The
     // untraced side sends no trace context with the tracer disabled, so
     // the coordinator skips propagation entirely; the traced side samples
@@ -190,7 +190,6 @@ fn main() {
     let mut client = Client::connect(cluster.coord.addr()).expect("connect coordinator");
     let ctx = TraceContext {
         trace_id: 0x0b5_0b5,
-        parent_span_id: 0,
         sampled: true,
     };
     let run_cluster = |client: &mut Client, traced: bool| -> f64 {
@@ -251,7 +250,7 @@ fn main() {
          {fault_overhead_pct:+.2}% ({med_fault:.4}s, budget {BUDGET_PCT}%)"
     );
     eprintln!(
-        "[bench_obs] cluster tracing overhead (3-shard loopback, v6 \
+        "[bench_obs] cluster tracing overhead (3-shard loopback, \
          propagation + stitching): {cluster_trace_overhead_pct:+.2}% \
          (untraced {med_cl_off:.4}s, traced {med_cl_on:.4}s, budget {BUDGET_PCT}%) -> {}",
         if pass { "PASS" } else { "OVER BUDGET" }

@@ -487,7 +487,7 @@ pub fn trace(a: &Parsed) -> Result<(), CliError> {
 
     // Remote mode: fetch the slow-query log of a running server or
     // coordinator over a `TraceLog` frame. On a coordinator the entries
-    // are stitched cross-node waterfalls — each shard's span summary
+    // are stitched cross-node waterfalls — each shard's stats summary
     // appears as a `shard` subtree under the coordinator's root span.
     if let Some(addr) = a.get("addr") {
         let mut client = tripro_serve::Client::connect(addr)

@@ -123,6 +123,6 @@ USAGE:
   tripro trace --addr HOST:PORT
       Instead fetch the slow-query log of a running server over a
       TraceLog frame. On a coordinator each entry is a stitched cluster
-      waterfall: per-shard span summaries render as shard subtrees under
+      waterfall: per-shard stats summaries render as shard subtrees under
       the coordinator's root span, all under one trace id.
 ";

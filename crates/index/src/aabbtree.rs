@@ -123,12 +123,6 @@ impl AabbTree {
         &self.tris
     }
 
-    /// The shared triangle buffer (the same allocation passed to
-    /// [`AabbTree::build_shared`]).
-    pub fn shared_triangles(&self) -> &Arc<Vec<Triangle>> {
-        &self.tris
-    }
-
     /// `true` if any triangle of `self` intersects any triangle of `other`.
     /// Counts tri–tri tests into `tests` for the paper's cost accounting.
     pub fn intersects_tree(&self, other: &AabbTree, tests: &mut u64) -> bool {
@@ -157,33 +151,6 @@ impl AabbTree {
                 (_, NodeKind::Inner { left, right }) => {
                     stack.push((a, *left));
                     stack.push((a, *right));
-                }
-            }
-        }
-        false
-    }
-
-    /// `true` if any triangle intersects `tri`.
-    pub fn intersects_triangle(&self, tri: &Triangle, tests: &mut u64) -> bool {
-        let tbb = tri.aabb();
-        let mut stack = vec![self.root];
-        while let Some(n) = stack.pop() {
-            let node = &self.nodes[n as usize];
-            if !node.bb.intersects(&tbb) {
-                continue;
-            }
-            match &node.kind {
-                NodeKind::Leaf { start, end } => {
-                    for &i in &self.order[*start as usize..*end as usize] {
-                        *tests += 1;
-                        if tri_tri_intersect(&self.tris[i as usize], tri) {
-                            return true;
-                        }
-                    }
-                }
-                NodeKind::Inner { left, right } => {
-                    stack.push(*left);
-                    stack.push(*right);
                 }
             }
         }
@@ -263,55 +230,6 @@ impl AabbTree {
         }
         best
     }
-
-    /// Minimum squared distance from a point to the triangle set.
-    pub fn min_dist2_point(&self, p: tripro_geom::Vec3) -> f64 {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        #[derive(PartialEq)]
-        struct Key(f64);
-        impl Eq for Key {}
-        impl PartialOrd for Key {
-            fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(o))
-            }
-        }
-        impl Ord for Key {
-            fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-                self.0.total_cmp(&o.0)
-            }
-        }
-        let mut best = f64::INFINITY;
-        let mut heap = BinaryHeap::new();
-        heap.push((
-            Reverse(Key(self.nodes[self.root as usize].bb.min_dist2_point(p))),
-            self.root,
-        ));
-        while let Some((Reverse(Key(lb)), n)) = heap.pop() {
-            if lb >= best {
-                break;
-            }
-            let node = &self.nodes[n as usize];
-            match &node.kind {
-                NodeKind::Leaf { start, end } => {
-                    for &i in &self.order[*start as usize..*end as usize] {
-                        let d2 =
-                            tripro_geom::distance::point_triangle_dist2(p, &self.tris[i as usize]);
-                        best = best.min(d2);
-                    }
-                }
-                NodeKind::Inner { left, right } => {
-                    for &c in &[*left, *right] {
-                        let d = self.nodes[c as usize].bb.min_dist2_point(p);
-                        if d < best {
-                            heap.push((Reverse(Key(d)), c));
-                        }
-                    }
-                }
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -372,7 +290,6 @@ mod tests {
         let b = AabbTree::build(vec![poker]);
         let mut tests = 0;
         assert!(a.intersects_tree(&b, &mut tests));
-        assert!(a.intersects_triangle(&poker, &mut tests));
         let mut t2 = 0;
         assert_eq!(a.min_dist2_tree(&b, f64::INFINITY, &mut t2), 0.0);
     }
@@ -430,21 +347,10 @@ mod tests {
     }
 
     #[test]
-    fn point_distance() {
-        let t = AabbTree::build(sheet(4, 0.0));
-        assert!((t.min_dist2_point(vec3(2.0, 2.0, 5.0)) - 25.0).abs() < 1e-12);
-        assert_eq!(t.min_dist2_point(vec3(1.5, 1.5, 0.0)), 0.0);
-        assert!((t.min_dist2_point(vec3(-1.0, 0.0, 0.0)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn single_triangle_tree() {
         let tri = Triangle::new(Vec3::ZERO, vec3(1.0, 0.0, 0.0), vec3(0.0, 1.0, 0.0));
         let t = AabbTree::build(vec![tri]);
         assert_eq!(t.len(), 1);
-        let mut n = 0;
-        assert!(t.intersects_triangle(&tri, &mut n));
-        assert_eq!(n, 1);
     }
 
     #[test]
@@ -457,7 +363,7 @@ mod tests {
     fn build_shared_is_zero_copy() {
         let buf = Arc::new(sheet(6, 0.0));
         let t = AabbTree::build_shared(Arc::clone(&buf));
-        assert!(Arc::ptr_eq(t.shared_triangles(), &buf));
+        assert!(std::ptr::eq(t.triangles(), buf.as_slice()));
         // Sharing must not change any answer: compare with an owned build.
         let owned = AabbTree::build(sheet(6, 0.0));
         let other = AabbTree::build(sheet(6, 2.5));

@@ -1,7 +1,7 @@
 //! R-tree over object MBBs: the *filtering* step of both the Filter-Refine
 //! and Filter-Progressive-Refine paradigms (paper §4).
 //!
-//! Supports STR bulk loading, incremental insertion with quadratic split,
+//! The tree is STR bulk-loaded once and then only queried. It supports
 //! window (intersection) queries, the within-query traversal that splits
 //! results into *definite* hits and *candidates* using MINDIST/MAXDIST
 //! bounds (§4.2), and the nearest-neighbour candidate collection with
@@ -10,7 +10,6 @@
 use tripro_geom::{Aabb, DistRange};
 
 const MAX_ENTRIES: usize = 16;
-const MIN_ENTRIES: usize = 4;
 
 #[derive(Debug, Clone)]
 enum Node<T> {
@@ -124,80 +123,6 @@ impl<T: Clone> RTree<T> {
         match level.pop() {
             Some(root) => Self { root, len },
             None => Self::new(),
-        }
-    }
-
-    /// Insert one entry (R-tree with quadratic split).
-    pub fn insert(&mut self, bb: Aabb, value: T) {
-        self.len += 1;
-        if let Some((a, b)) = Self::insert_rec(&mut self.root, bb, value) {
-            self.root = Node::Inner {
-                bb: a.bb().union(b.bb()),
-                children: vec![a, b],
-            };
-        }
-    }
-
-    fn insert_rec(node: &mut Node<T>, bb: Aabb, value: T) -> Option<(Node<T>, Node<T>)> {
-        match node {
-            Node::Leaf { bb: nbb, entries } => {
-                entries.push((bb, value));
-                *nbb = nbb.union(&bb);
-                if entries.len() > MAX_ENTRIES {
-                    let (l, r) = quadratic_split(std::mem::take(entries), |e| e.0);
-                    let mut left = Node::Leaf {
-                        bb: Aabb::EMPTY,
-                        entries: l,
-                    };
-                    let mut right = Node::Leaf {
-                        bb: Aabb::EMPTY,
-                        entries: r,
-                    };
-                    left.recompute_bb();
-                    right.recompute_bb();
-                    return Some((left, right));
-                }
-                None
-            }
-            Node::Inner { bb: nbb, children } => {
-                *nbb = nbb.union(&bb);
-                // Choose the child whose bb needs least enlargement.
-                let mut best = 0;
-                let mut best_cost = f64::INFINITY;
-                for (i, c) in children.iter().enumerate() {
-                    let grown = c.bb().union(&bb);
-                    let cost = grown.volume() - c.bb().volume();
-                    let tie = c.bb().volume();
-                    if cost < best_cost
-                        || (tripro_geom::is_exactly(cost, best_cost)
-                            && tie < children[best].bb().volume())
-                    {
-                        best = i;
-                        best_cost = cost;
-                    }
-                    let _ = tie;
-                }
-                if let Some((a, b)) = Self::insert_rec(&mut children[best], bb, value) {
-                    children.swap_remove(best);
-                    children.push(a);
-                    children.push(b);
-                    if children.len() > MAX_ENTRIES {
-                        let (l, r) = quadratic_split(std::mem::take(children), |c| *c.bb());
-                        let mut left = Node::Inner {
-                            bb: Aabb::EMPTY,
-                            children: l,
-                        };
-                        let mut right = Node::Inner {
-                            bb: Aabb::EMPTY,
-                            children: r,
-                        };
-                        left.recompute_bb();
-                        right.recompute_bb();
-                        return Some((left, right));
-                    }
-                }
-                None
-            }
         }
     }
 
@@ -377,73 +302,6 @@ impl<T: Clone> RTree<T> {
         }
         h
     }
-
-    /// Structural statistics for tuning and diagnostics.
-    pub fn stats(&self) -> TreeStats {
-        let mut s = TreeStats {
-            height: self.height(),
-            ..Default::default()
-        };
-        let mut stack = vec![&self.root];
-        while let Some(n) = stack.pop() {
-            match n {
-                Node::Leaf { entries, .. } => {
-                    s.leaves += 1;
-                    s.entries += entries.len();
-                    s.min_leaf_fill = s.min_leaf_fill.min(entries.len());
-                    s.max_leaf_fill = s.max_leaf_fill.max(entries.len());
-                }
-                Node::Inner { children, .. } => {
-                    s.inner_nodes += 1;
-                    // Overlap volume among sibling boxes, a quality signal:
-                    // bulk-loaded trees should show little.
-                    for i in 0..children.len() {
-                        for j in (i + 1)..children.len() {
-                            let a = children[i].bb();
-                            let b = children[j].bb();
-                            if a.intersects(b) {
-                                let lo = a.lo.max(b.lo);
-                                let hi = a.hi.min(b.hi);
-                                s.sibling_overlap_volume += Aabb::from_corners(lo, hi).volume();
-                            }
-                        }
-                    }
-                    stack.extend(children.iter());
-                }
-            }
-        }
-        if s.leaves == 0 {
-            s.min_leaf_fill = 0;
-        }
-        s
-    }
-}
-
-/// Structural statistics of an R-tree (see [`RTree::stats`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TreeStats {
-    pub height: usize,
-    pub leaves: usize,
-    pub inner_nodes: usize,
-    pub entries: usize,
-    pub min_leaf_fill: usize,
-    pub max_leaf_fill: usize,
-    /// Total pairwise overlap volume among sibling node boxes.
-    pub sibling_overlap_volume: f64,
-}
-
-impl Default for TreeStats {
-    fn default() -> Self {
-        Self {
-            height: 0,
-            leaves: 0,
-            inner_nodes: 0,
-            entries: 0,
-            min_leaf_fill: usize::MAX,
-            max_leaf_fill: 0,
-            sibling_overlap_volume: 0.0,
-        }
-    }
 }
 
 fn collect_all<T: Clone>(node: &Node<T>, out: &mut Vec<T>) {
@@ -464,57 +322,6 @@ pub struct WithinResult<T> {
     pub definite: Vec<T>,
     /// Objects needing geometric refinement.
     pub candidates: Vec<T>,
-}
-
-/// Quadratic split (Guttman): pick the pair wasting the most area as seeds,
-/// then assign greedily by enlargement.
-fn quadratic_split<E>(mut entries: Vec<E>, bb_of: impl Fn(&E) -> Aabb) -> (Vec<E>, Vec<E>) {
-    debug_assert!(entries.len() >= 2);
-    // Seed pair: maximal dead volume.
-    let (mut s1, mut s2, mut worst) = (0, 1, f64::NEG_INFINITY);
-    for i in 0..entries.len() {
-        for j in (i + 1)..entries.len() {
-            let u = bb_of(&entries[i]).union(&bb_of(&entries[j]));
-            let waste = u.volume() - bb_of(&entries[i]).volume() - bb_of(&entries[j]).volume();
-            if waste > worst {
-                worst = waste;
-                s1 = i;
-                s2 = j;
-            }
-        }
-    }
-    // Remove the higher index first to keep s1 valid.
-    let e2 = entries.swap_remove(s2);
-    let e1 = entries.swap_remove(s1);
-    let mut bb1 = bb_of(&e1);
-    let mut bb2 = bb_of(&e2);
-    let mut g1 = vec![e1];
-    let mut g2 = vec![e2];
-    let remaining = entries.len();
-    for (i, e) in entries.into_iter().enumerate() {
-        let left = remaining - i;
-        // Force-assign to honour minimum fill.
-        if g1.len() + left <= MIN_ENTRIES {
-            bb1 = bb1.union(&bb_of(&e));
-            g1.push(e);
-            continue;
-        }
-        if g2.len() + left <= MIN_ENTRIES {
-            bb2 = bb2.union(&bb_of(&e));
-            g2.push(e);
-            continue;
-        }
-        let grow1 = bb1.union(&bb_of(&e)).volume() - bb1.volume();
-        let grow2 = bb2.union(&bb_of(&e)).volume() - bb2.volume();
-        if grow1 <= grow2 {
-            bb1 = bb1.union(&bb_of(&e));
-            g1.push(e);
-        } else {
-            bb2 = bb2.union(&bb_of(&e));
-            g2.push(e);
-        }
-    }
-    (g1, g2)
 }
 
 #[cfg(test)]
@@ -555,28 +362,6 @@ mod tests {
         expected.sort_unstable();
         assert_eq!(hits, expected);
         assert_eq!(hits.len(), 8);
-    }
-
-    #[test]
-    fn insert_matches_bulk_results() {
-        let boxes = grid_boxes(4);
-        let bulk = RTree::bulk_load(boxes.clone());
-        let mut inc = RTree::new();
-        for (bb, id) in boxes.clone() {
-            inc.insert(bb, id);
-        }
-        assert_eq!(inc.len(), bulk.len());
-        for w in [
-            Aabb::from_corners(vec3(0.0, 0.0, 0.0), vec3(100.0, 100.0, 100.0)),
-            Aabb::from_corners(vec3(2.0, 2.0, 2.0), vec3(5.0, 5.0, 5.0)),
-            Aabb::from_corners(vec3(-5.0, -5.0, -5.0), vec3(-1.0, -1.0, -1.0)),
-        ] {
-            let mut a = bulk.query_intersects(&w);
-            let mut b = inc.query_intersects(&w);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-        }
     }
 
     #[test]
@@ -675,42 +460,5 @@ mod tests {
         let nn = t.nn_candidates(&Aabb::from_point(vec3(9.0, 9.0, 9.0)));
         assert_eq!(nn.len(), 1);
         assert_eq!(nn[0].0, 42);
-    }
-
-    #[test]
-    fn stats_account_for_everything() {
-        let t = RTree::bulk_load(grid_boxes(6));
-        let s = t.stats();
-        assert_eq!(s.entries, 216);
-        assert_eq!(s.height, t.height());
-        assert!(s.leaves >= 216 / 16);
-        assert!(s.min_leaf_fill >= 1 && s.max_leaf_fill <= 16);
-        // Overlap is a diagnostic, not an invariant: STR leaves tile
-        // cleanly but parent runs can straddle slab boundaries. Just demand
-        // sane values for both build paths.
-        assert!(s.sibling_overlap_volume.is_finite() && s.sibling_overlap_volume >= 0.0);
-        let mut inc = RTree::new();
-        for (bb, id) in grid_boxes(6) {
-            inc.insert(bb, id);
-        }
-        let si = inc.stats();
-        assert_eq!(si.entries, 216);
-        assert!(si.sibling_overlap_volume.is_finite() && si.sibling_overlap_volume >= 0.0);
-        // Empty tree stats are sane.
-        let e: RTree<usize> = RTree::new();
-        assert_eq!(e.stats().entries, 0);
-        assert_eq!(e.stats().min_leaf_fill, 0);
-    }
-
-    #[test]
-    fn many_inserts_trigger_splits() {
-        let mut t = RTree::new();
-        for (bb, id) in grid_boxes(6) {
-            t.insert(bb, id);
-        }
-        assert_eq!(t.len(), 216);
-        assert!(t.height() >= 2);
-        let w = t.bounds();
-        assert_eq!(t.query_intersects(&w).len(), 216);
     }
 }

@@ -19,8 +19,8 @@ use crate::ServeError;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use tripro::fault::mix64;
-use tripro::obs;
-use tripro::obs::{MetricSnapshot, SpanSummary};
+use tripro::obs::{self, MetricSnapshot};
+use tripro::StatsSnapshot;
 
 /// Outcome of a query request.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,12 +208,12 @@ impl Client {
 
     /// [`Self::query`] with a [`TraceContext`] attached: the server
     /// executes under the propagated trace id and, when `sampled`, ships
-    /// a span summary back on the final page — returned with the reply.
+    /// its stats snapshot back on the final page — returned with the reply.
     pub fn query_traced(
         &mut self,
         req: &Request,
         trace: Option<&TraceContext>,
-    ) -> Result<(QueryReply, Option<SpanSummary>), ServeError> {
+    ) -> Result<(QueryReply, Option<StatsSnapshot>), ServeError> {
         match req {
             Request::Contains { .. }
             | Request::Intersect { .. }
@@ -450,7 +450,7 @@ impl RetryingClient {
     }
 
     /// [`Self::query`] with a [`TraceContext`] propagated on every
-    /// attempt, returning the final attempt's span summary with the reply.
+    /// attempt, returning the final attempt's stats snapshot with the reply.
     /// All attempts carry the SAME trace id, and each one is tagged with
     /// its 0-based attempt index via a `retry_attempt` span, so a retried
     /// request renders as one waterfall in the slow log — never as
@@ -459,7 +459,7 @@ impl RetryingClient {
         &mut self,
         req: &Request,
         trace: Option<&TraceContext>,
-    ) -> Result<(QueryReply, Option<SpanSummary>, RetryOutcome), ServeError> {
+    ) -> Result<(QueryReply, Option<StatsSnapshot>, RetryOutcome), ServeError> {
         let mut outcome = RetryOutcome::default();
         loop {
             outcome.attempts += 1;

@@ -48,9 +48,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tripro::fault::mix64;
-use tripro::obs::{self, CostExemplar, MetricSnapshot, SpanKind, SpanSummary};
+use tripro::obs::{self, CostExemplar, MetricSnapshot, SpanKind};
 use tripro::sync::{lock, Mutex};
-use tripro::{Deadline, ObjectStore, ServiceSnapshot, TraceConfig};
+use tripro::{Deadline, ExecStats, ObjectStore, ServiceSnapshot, StatsSnapshot, TraceConfig};
 use tripro_geom::{Aabb, Vec3};
 
 /// Hard per-attempt bound on any sub-query round trip, applied even when
@@ -257,13 +257,13 @@ impl Router {
 
     /// Scatter the query and merge the partial results, returning the
     /// reply plus — for a client that sent a sampled context — the
-    /// cluster-aggregate span summary.
+    /// cluster-aggregate stats summary.
     fn coordinate(
         &self,
         q: &Query,
         shards: &[u32],
         trace_id: u64,
-    ) -> (Result<Reply, Failure>, Option<SpanSummary>) {
+    ) -> (Result<Reply, Failure>, Option<StatsSnapshot>) {
         if shards.is_empty() {
             let empty = Reply::Ids {
                 ids: Vec::new(),
@@ -315,14 +315,13 @@ impl Router {
         // trace and the client's aggregate.
         let sub_ctx = (q.trace.is_some() || obs::enabled()).then_some(TraceContext {
             trace_id,
-            parent_span_id: 0, // overwritten per shard at dispatch
             sampled: q.trace.is_some_and(|t| t.sampled) || obs::enabled(),
         });
 
         let (subs, legs) = self.scatter(shards, &req, &q.deadline, can_partial, sub_ctx);
         // Stitch the shard legs into this trace (we are on the connection
         // thread, inside the request's root span) and build the aggregate.
-        let summary = stitch(trace_id, &legs);
+        let summary = stitch(&legs);
         (
             merge(&q.op, subs, &q.deadline, can_partial),
             q.trace.filter(|t| t.sampled).and(summary),
@@ -358,14 +357,8 @@ impl Router {
                 let out = if cancel.load(Ordering::Relaxed) || deadline.is_over() {
                     SubOutcome::Skipped
                 } else {
-                    // Each shard gets the shared trace id with its own index
-                    // as the parent-span marker.
-                    let ctx = sub_ctx.map(|t| TraceContext {
-                        parent_span_id: u64::from(s),
-                        ..t
-                    });
                     let t0 = Instant::now();
-                    let (out, summary) = self.sub_query(s, req, deadline, ctx.as_ref());
+                    let (out, summary) = self.sub_query(s, req, deadline, sub_ctx.as_ref());
                     let wall = t0.elapsed();
                     obs::shard_subquery_histogram(s as usize).record_duration(wall);
                     lock(&results).1.push(ShardLeg {
@@ -415,14 +408,14 @@ impl Router {
     }
 
     /// One sub-query against one backend, with per-shard load accounting.
-    /// Returns the outcome plus the shard's span summary when it sent one.
+    /// Returns the outcome plus the shard's stats summary when it sent one.
     fn sub_query(
         &self,
         s: u32,
         req: &Request,
         deadline: &Deadline,
         trace: Option<&TraceContext>,
-    ) -> (SubOutcome, Option<SpanSummary>) {
+    ) -> (SubOutcome, Option<StatsSnapshot>) {
         let Some(b) = self.backends.get(s as usize) else {
             let m = format!("shard {s} not configured");
             return (SubOutcome::Unavailable(m), None);
@@ -583,22 +576,16 @@ struct ShardLeg {
     shard: u32,
     started: Instant,
     wall_ns: u64,
-    summary: Option<SpanSummary>,
+    summary: Option<StatsSnapshot>,
 }
 
 /// Replay each shard leg into the coordinator's open trace — a `shard`
 /// span per sub-query, with `filter`/`decode`/`compute` children stacked
 /// sequentially from the shard's reported durations — attach the
-/// per-query cost exemplar, and return the cluster-aggregate summary
-/// (`total_ns` is filled in by the node with the coordinator's wall).
-fn stitch(trace_id: u64, legs: &[ShardLeg]) -> Option<SpanSummary> {
-    let mut ex = CostExemplar {
-        total: SpanSummary {
-            trace_id,
-            ..SpanSummary::default()
-        },
-        shards: Vec::new(),
-    };
+/// per-query cost exemplar, and return the cluster-aggregate summary.
+fn stitch(legs: &[ShardLeg]) -> Option<StatsSnapshot> {
+    let total = ExecStats::new();
+    let mut shards = Vec::new();
     for leg in legs {
         obs::record_remote(
             SpanKind::Shard,
@@ -620,16 +607,19 @@ fn stitch(trace_id: u64, legs: &[ShardLeg]) -> Option<SpanSummary> {
                 at += Duration::from_nanos(ns);
             }
         }
-        ex.total.add(s);
-        ex.shards.push((leg.shard, leg.wall_ns, s.decoded_bytes));
+        total.merge_from(s);
+        shards.push((leg.shard, leg.wall_ns, s.decoded_bytes));
     }
     // One fanout entry per reported summary: none means nothing to sum.
-    if ex.shards.is_empty() {
+    if shards.is_empty() {
         return None;
     }
-    let agg = ex.total;
-    obs::attach_exemplar(ex);
-    Some(agg)
+    let total = total.snapshot();
+    obs::attach_exemplar(CostExemplar {
+        total: total.clone(),
+        shards,
+    });
+    Some(total)
 }
 
 /// Merge per-shard results into the client's answer. See the module doc

@@ -33,11 +33,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use tripro::fault::{self, FaultAction};
-use tripro::obs::{self, MetricSnapshot, SpanSummary};
+use tripro::obs::{self, MetricSnapshot};
 use tripro::sync::{lock, wait, Condvar, Mutex};
-use tripro::{Deadline, ServiceSnapshot, ServiceStats, TraceConfig};
+use tripro::{Deadline, ServiceSnapshot, ServiceStats, StatsSnapshot, TraceConfig};
 
 /// Read-timeout granularity at which blocked connection readers poll the
 /// shutdown flag.
@@ -100,7 +100,7 @@ pub(crate) struct Query {
     /// The client's ask clamped by the node's `deadline_cap`.
     pub deadline: Deadline,
     /// Propagated trace context, when the peer sent one: the request
-    /// executes under its trace id and, if sampled, ships a span summary
+    /// executes under its trace id and, if sampled, ships a stats summary
     /// back on the final reply page.
     pub trace: Option<TraceContext>,
 }
@@ -447,16 +447,15 @@ impl<H: Handler> Node<H> {
     /// (keyed by the propagated trace id when the peer sent one, else the
     /// wire request id), contain a panic in `run` as a typed `Internal`
     /// failure so it flows through the ordinary failure path, stream the
-    /// pages — the span summary, totalled with this node's wall time,
-    /// rides the last — and account the outcome exactly once.
+    /// pages — the stats summary rides the last — and account the outcome
+    /// exactly once.
     pub fn execute(
         &self,
         q: &Query,
-        run: impl FnOnce(u64) -> (Result<Reply, Failure>, Option<SpanSummary>),
+        run: impl FnOnce(u64) -> (Result<Reply, Failure>, Option<StatsSnapshot>),
     ) {
         let trace_id = q.trace.map_or(q.request_id, |t| t.trace_id);
         let _req = obs::tracer().request(trace_id);
-        let started = Instant::now();
         let (result, summary) = match catch_unwind(AssertUnwindSafe(|| run(trace_id))) {
             Ok(r) => r,
             Err(payload) => {
@@ -484,10 +483,7 @@ impl<H: Handler> Node<H> {
                     Response::Page { summary: slot, .. } | Response::PageD { summary: slot, .. },
                 ) = pages.last_mut()
                 {
-                    *slot = summary.map(|s| SpanSummary {
-                        total_ns: started.elapsed().as_nanos() as u64,
-                        ..s
-                    });
+                    *slot = summary;
                 }
                 for page in &pages {
                     q.writer.send_response(q.request_id, page);

@@ -7,7 +7,7 @@
 //! offset  size  field
 //! 0       4     payload length (u32 LE, excludes the header)
 //! 4       2     magic 0x3D50 ("=P")
-//! 6       1     protocol version (exactly 7; every other value is refused)
+//! 6       1     protocol version (exactly 8; every other value is refused)
 //! 7       1     frame kind
 //! 8       8     request id (u64 LE, echoed verbatim in responses)
 //! ```
@@ -19,13 +19,14 @@
 //!
 //! The codec is canonical: each frame kind has one fixed layout, flag
 //! bytes must be `0` or `1`, strings must be UTF-8, and the two optional
-//! bodies (a request's [`TraceContext`], a final page's [`SpanSummary`])
+//! bodies (a request's [`TraceContext`], a final page's [`StatsSnapshot`])
 //! sit behind an explicit presence tag — so every payload a decoder
 //! accepts re-encodes to the same bytes.
 
 use std::io::{Read, Write};
 
-use tripro::obs::{HistogramSnapshot, MetricSnapshot, MetricValue, SpanSummary};
+use tripro::obs::{HistogramSnapshot, MetricSnapshot, MetricValue};
+use tripro::stats::{StatsSnapshot, MAX_TRACKED_LOD};
 
 /// Frame magic ("=P" little-endian): rejects non-protocol peers early.
 pub const MAGIC: u16 = 0x3D50;
@@ -34,7 +35,7 @@ pub const MAGIC: u16 = 0x3D50;
 /// tree and is built from the same source, so there is no negotiation
 /// range: a header or `Hello` that does not cover exactly this version is
 /// answered `UnsupportedVersion`.
-pub const VERSION: u8 = 7;
+pub const VERSION: u8 = 8;
 
 /// Oldest protocol version this build accepts (the same as [`VERSION`]).
 pub const MIN_VERSION: u8 = VERSION;
@@ -202,27 +203,28 @@ pub struct ShardInfoPayload {
 /// Distributed trace context carried on query requests, behind a one-byte
 /// presence tag after the query body. A shard that receives a sampled
 /// context executes the request under the propagated `trace_id` and ships
-/// a [`SpanSummary`] back on the final page of its reply.
+/// its [`StatsSnapshot`] back on the final page of its reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     /// Cluster-wide trace id (the coordinator's request id by default).
     pub trace_id: u64,
-    /// Span id of the parent on the initiating node (the coordinator
-    /// encodes the shard index here so replies are attributable).
-    pub parent_span_id: u64,
     /// Whether the initiator is actively sampling this request; unsampled
     /// contexts propagate the id for log correlation but ask the shard
     /// not to pay for span collection.
     pub sampled: bool,
 }
 
-/// Wire size of an encoded [`TraceContext`] body (u64 + u64 + u8), after
-/// its presence tag.
-pub const TRACE_CTX_LEN: usize = 17;
+/// Wire size of an encoded [`TraceContext`] body (u64 + u8), after its
+/// presence tag.
+pub const TRACE_CTX_LEN: usize = 9;
 
-/// Wire size of an encoded [`SpanSummary`] body (ten u64 fields), after
-/// its presence tag.
-pub const SPAN_SUMMARY_LEN: usize = 80;
+/// Entries of each per-LOD array in an encoded summary.
+const LODS: usize = MAX_TRACKED_LOD + 1;
+
+/// Wire size of an encoded [`StatsSnapshot`] summary body (ten scalars,
+/// then `pairs_evaluated` and `pairs_pruned` at [`LODS`] entries each, all
+/// u64), after its presence tag.
+pub const SUMMARY_LEN: usize = 8 * (10 + 2 * LODS);
 
 /// Client → server frames.
 #[derive(Debug, Clone, PartialEq)]
@@ -310,7 +312,7 @@ pub enum Response {
         last: bool,
         ids: Vec<u32>,
         partial: bool,
-        summary: Option<SpanSummary>,
+        summary: Option<StatsSnapshot>,
     },
     /// One page of scored results `(id, exact distance)` for the `NnEx`/
     /// `KnnEx` sub-queries, closest first.
@@ -318,7 +320,7 @@ pub enum Response {
         last: bool,
         partial: bool,
         items: Vec<(u32, f64)>,
-        summary: Option<SpanSummary>,
+        summary: Option<StatsSnapshot>,
     },
     /// Terminal failure for a request (or, under request id 0, for the
     /// connection: see `docs/protocol.md`).
@@ -487,46 +489,59 @@ fn put_text32(out: &mut Vec<u8>, text: &str) {
     out.extend_from_slice(bytes);
 }
 
-/// Presence tag, then the fixed [`SPAN_SUMMARY_LEN`]-byte image (ten u64
-/// fields in declaration order).
-fn put_summary(out: &mut Vec<u8>, summary: Option<&SpanSummary>) {
+/// Presence tag, then the fixed [`SUMMARY_LEN`]-byte image: the ten
+/// scalars in declaration order, then both per-LOD arrays, each cut or
+/// zero-padded to [`LODS`] entries.
+fn put_summary(out: &mut Vec<u8>, summary: Option<&StatsSnapshot>) {
     let Some(s) = summary else {
         out.push(0);
         return;
     };
     out.push(1);
     for v in [
-        s.trace_id,
-        s.total_ns,
         s.filter_ns,
         s.decode_ns,
         s.compute_ns,
-        s.decoded_bytes,
+        s.face_pair_tests,
         s.cache_hits,
         s.cache_misses,
+        s.decodes,
+        s.decoded_bytes,
         s.lod_rounds,
-        s.resolved_pairs,
+        s.lod_overflow,
     ] {
         put_u64(out, v);
     }
+    for per_lod in [&s.pairs_evaluated, &s.pairs_pruned] {
+        for i in 0..LODS {
+            put_u64(out, per_lod.get(i).copied().unwrap_or(0));
+        }
+    }
 }
 
-fn read_summary(c: &mut Cursor<'_>) -> Result<Option<SpanSummary>, WireError> {
+fn read_summary(c: &mut Cursor<'_>) -> Result<Option<StatsSnapshot>, WireError> {
     match c.u8()? {
         0 => Ok(None),
-        1 => Ok(Some(SpanSummary {
-            trace_id: c.u64()?,
-            total_ns: c.u64()?,
-            filter_ns: c.u64()?,
-            decode_ns: c.u64()?,
-            compute_ns: c.u64()?,
-            decoded_bytes: c.u64()?,
-            cache_hits: c.u64()?,
-            cache_misses: c.u64()?,
-            lod_rounds: c.u64()?,
-            resolved_pairs: c.u64()?,
-        })),
-        _ => Err(WireError::Malformed("unknown span-summary tag")),
+        1 => {
+            let mut s = StatsSnapshot {
+                filter_ns: c.u64()?,
+                decode_ns: c.u64()?,
+                compute_ns: c.u64()?,
+                face_pair_tests: c.u64()?,
+                cache_hits: c.u64()?,
+                cache_misses: c.u64()?,
+                decodes: c.u64()?,
+                decoded_bytes: c.u64()?,
+                lod_rounds: c.u64()?,
+                lod_overflow: c.u64()?,
+                ..StatsSnapshot::default()
+            };
+            for per_lod in [&mut s.pairs_evaluated, &mut s.pairs_pruned] {
+                *per_lod = (0..LODS).map(|_| c.u64()).collect::<Result<_, _>>()?;
+            }
+            Ok(Some(s))
+        }
+        _ => Err(WireError::Malformed("unknown summary tag")),
     }
 }
 
@@ -684,7 +699,6 @@ pub fn encode_request_traced(
             Some(t) => {
                 p.push(1);
                 put_u64(&mut p, t.trace_id);
-                put_u64(&mut p, t.parent_span_id);
                 p.push(u8::from(t.sampled));
             }
         }
@@ -754,7 +768,6 @@ pub fn decode_request_body_traced(
             0 => None,
             1 => Some(TraceContext {
                 trace_id: c.u64()?,
-                parent_span_id: c.u64()?,
                 sampled: c.flag()?,
             }),
             _ => return Err(WireError::Malformed("unknown trace-context tag")),
@@ -879,7 +892,7 @@ pub fn encode_response(request_id: u64, resp: &Response) -> Vec<u8> {
             partial,
             summary,
         } => {
-            let mut p = open(K_PAGE, request_id, 7 + 4 * ids.len() + SPAN_SUMMARY_LEN);
+            let mut p = open(K_PAGE, request_id, 7 + 4 * ids.len());
             p.extend_from_slice(&[u8::from(*last), u8::from(*partial)]);
             put_u32(&mut p, ids.len() as u32);
             for id in ids {
@@ -894,11 +907,7 @@ pub fn encode_response(request_id: u64, resp: &Response) -> Vec<u8> {
             items,
             summary,
         } => {
-            let mut p = open(
-                K_PAGE_D,
-                request_id,
-                7 + 12 * items.len() + SPAN_SUMMARY_LEN,
-            );
+            let mut p = open(K_PAGE_D, request_id, 7 + 12 * items.len());
             p.extend_from_slice(&[u8::from(*last), u8::from(*partial)]);
             put_u32(&mut p, items.len() as u32);
             for (id, dist) in items {
@@ -1115,22 +1124,22 @@ mod tests {
         digits.chunks(2).map(|d| d[0] << 4 | d[1]).collect()
     }
 
-    /// A v7 frame built without the encoder.
+    /// A v8 frame built without the encoder.
     fn frame(kind: u8, id: u64, payload: &[u8]) -> Vec<u8> {
         let mut f = (payload.len() as u32).to_le_bytes().to_vec();
-        f.extend_from_slice(&[0x50, 0x3D, 7, kind]);
+        f.extend_from_slice(&[0x50, 0x3D, 8, kind]);
         f.extend_from_slice(&id.to_le_bytes());
         f.extend_from_slice(payload);
         f
     }
 
-    /// Every request kind with its kind byte and v7 payload — for query
+    /// Every request kind with its kind byte and v8 payload — for query
     /// kinds, the body in front of the trace-context tag.
     #[rustfmt::skip]
     fn golden_requests() -> Vec<(Request, u8, &'static str)> {
         let (target, k, deadline_ms) = (9, 4, 250);
         vec![
-            (Request::Hello { min_version: 7, max_version: 7, role: NodeRole::Coordinator }, 0x01, "07 07 02"),
+            (Request::Hello { min_version: 8, max_version: 8, role: NodeRole::Coordinator }, 0x01, "08 08 02"),
             (Request::Health, 0x02, ""),
             (Request::Shutdown, 0x04, ""),
             (Request::Metrics, 0x05, ""),
@@ -1147,25 +1156,33 @@ mod tests {
         ]
     }
 
-    fn sample_summary() -> SpanSummary {
-        SpanSummary {
-            trace_id: 0xAB,
-            total_ns: 1_000_000,
-            filter_ns: 100,
-            decode_ns: 200,
-            compute_ns: 300,
-            decoded_bytes: 4096,
-            cache_hits: 3,
-            cache_misses: 1,
-            lod_rounds: 2,
-            resolved_pairs: 8,
+    /// A summary with a distinct value in every field: the ten scalars
+    /// count 1..=10 in wire order, `pairs_evaluated[i]` is `0x100 + i` and
+    /// `pairs_pruned[i]` is `0x200 + i`.
+    fn sample_summary() -> StatsSnapshot {
+        StatsSnapshot {
+            filter_ns: 1,
+            decode_ns: 2,
+            compute_ns: 3,
+            face_pair_tests: 4,
+            cache_hits: 5,
+            cache_misses: 6,
+            decodes: 7,
+            decoded_bytes: 8,
+            lod_rounds: 9,
+            lod_overflow: 10,
+            pairs_evaluated: (0x100..0x110).collect(),
+            pairs_pruned: (0x200..0x210).collect(),
         }
     }
 
-    /// [`sample_summary`] behind its presence tag.
-    const SUMMARY_HEX: &str = "01 ab00000000000000 40420f0000000000 6400000000000000 \
-        c800000000000000 2c01000000000000 0010000000000000 0300000000000000 \
-        0100000000000000 0200000000000000 0800000000000000";
+    /// [`sample_summary`] behind its presence tag, each u64 spelled out
+    /// little-endian without the encoder.
+    fn summary_hex() -> String {
+        let words = (1..=10u64).chain(0x100..0x110).chain(0x200..0x210);
+        let body: Vec<String> = words.map(|v| format!("{:016x}", v.swap_bytes())).collect();
+        format!("01 {}", body.join(" "))
+    }
 
     fn sample_metrics() -> Vec<MetricSnapshot> {
         let series = |name: &str, labels: &str, help: &str, value| MetricSnapshot {
@@ -1192,17 +1209,17 @@ mod tests {
     }
 
     /// Every response kind (both page kinds with and without a summary)
-    /// with its kind byte and v7 payload.
+    /// with its kind byte and v8 payload.
     #[rustfmt::skip]
     fn golden_responses() -> Vec<(Response, u8, String)> {
-        let s = Some(sample_summary());
+        let (s, summary_hex) = (Some(sample_summary()), summary_hex());
         let info = ShardInfoPayload {
             role: NodeRole::Engine, epoch: 7, index: 1, count: 3, cell: 2.5,
             target_objects: 40, source_objects: 17, source_total: 41,
         };
         let busy = Response::Error { code: ErrorCode::Overloaded, message: "busy".into(), retry_after_ms: 250 };
         vec![
-            (Response::HelloOk { version: 7, role: NodeRole::Engine }, 0x81, "07 01".into()),
+            (Response::HelloOk { version: 8, role: NodeRole::Engine }, 0x81, "08 01".into()),
             (Response::HealthOk, 0x82, String::new()),
             (Response::ShutdownOk, 0x84, String::new()),
             (Response::MetricsOk(sample_metrics()), 0x85,
@@ -1215,27 +1232,26 @@ mod tests {
             (Response::TraceLogOk { text: "ab\n".into() }, 0x89, "03000000 61620a".into()),
             (Response::Page { last: true, ids: vec![5, 9], partial: false, summary: None }, 0x90,
              "01 00 02000000 05000000 09000000 00".into()),
-            (Response::Page { last: false, ids: vec![5], partial: true, summary: s }, 0x90,
-             format!("00 01 01000000 05000000 {SUMMARY_HEX}")),
+            (Response::Page { last: false, ids: vec![5], partial: true, summary: s.clone() }, 0x90,
+             format!("00 01 01000000 05000000 {summary_hex}")),
             (Response::PageD { last: true, partial: false, items: vec![(3, 0.25)], summary: None }, 0x91,
              "01 00 01000000 03000000 000000000000d03f 00".into()),
             (Response::PageD { last: true, partial: true, items: vec![], summary: s }, 0x91,
-             format!("01 01 00000000 {SUMMARY_HEX}")),
+             format!("01 01 00000000 {summary_hex}")),
             (busy, 0xFF, "01 0400 62757379 fa000000".into()),
         ]
     }
 
-    /// The v7 layout of every frame kind, byte for byte, built without the
+    /// The v8 layout of every frame kind, byte for byte, built without the
     /// encoder: a change to any field's position, width or presence fails
     /// here before it reaches a peer.
     #[test]
-    fn v7_layout_of_every_kind_is_pinned() {
+    fn v8_layout_of_every_kind_is_pinned() {
         let ctx = TraceContext {
             trace_id: 0x0102_0304_0506_0708,
-            parent_span_id: 2,
             sampled: true,
         };
-        let ctx_hex = "01 0807060504030201 0200000000000000 01";
+        let ctx_hex = "01 0807060504030201 01";
         for (req, kind, body) in golden_requests() {
             if kind < 0x10 {
                 assert_eq!(encode_request(3, &req), frame(kind, 3, &hex(body)));
@@ -1281,7 +1297,6 @@ mod tests {
     fn trace_context_roundtrips_on_every_query_kind() {
         let ctx = TraceContext {
             trace_id: 0xDEAD_BEEF_CAFE_F00D,
-            parent_span_id: 2,
             sampled: true,
         };
         let queries = golden_requests().into_iter().filter(|r| r.1 >= K_CONTAINS);
@@ -1306,7 +1321,6 @@ mod tests {
     fn trace_context_is_ignored_on_non_query_requests() {
         let ctx = TraceContext {
             trace_id: 1,
-            parent_span_id: 2,
             sampled: true,
         };
         for req in [Request::Health, Request::Metrics, Request::TraceLog] {
@@ -1321,15 +1335,15 @@ mod tests {
     #[test]
     fn a_16_byte_trailer_is_rejected_not_misread() {
         // A context body one byte short, a tag that is neither 0 nor 1, a
-        // sampled byte that is neither, and a body behind an "absent" tag
-        // are all typed rejections — never a silent partial read.
+        // sampled byte that is neither, a body behind an "absent" tag and a
+        // v7 peer's 17-byte body are all typed rejections — never a silent
+        // partial read.
         let nn = Request::Nn {
             target: 7,
             deadline_ms: 1,
         };
         let ctx = TraceContext {
             trace_id: 1,
-            parent_span_id: 0,
             sampled: false,
         };
         let traced = encode_request_traced(1, &nn, Some(&ctx));
@@ -1351,6 +1365,10 @@ mod tests {
         let mut absent = payload.to_vec();
         absent[tag_at] = 0;
         reject(&absent, "trailing bytes in payload");
+        // v7 put a parent span id between the trace id and the sampled byte.
+        let mut v7 = payload[..=tag_at].to_vec();
+        v7.extend_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0]);
+        reject(&v7, "flag byte is not 0 or 1");
         // And a query with no tag byte at all is short, not "untraced".
         let plain = encode_request(1, &nn);
         reject(&plain[HEADER_LEN..plain.len() - 1], "payload too short");
@@ -1399,29 +1417,50 @@ mod tests {
 
     #[test]
     fn span_summary_roundtrips_on_both_page_kinds() {
+        assert_eq!(SUMMARY_LEN, 336);
+        // Shorter per-LOD arrays travel zero-padded to 16 entries.
+        let short = StatsSnapshot {
+            pairs_evaluated: vec![3],
+            pairs_pruned: Vec::new(),
+            ..sample_summary()
+        };
+        let mut padded = short.clone();
+        padded.pairs_evaluated.resize(LODS, 0);
+        padded.pairs_pruned.resize(LODS, 0);
         let pages = golden_responses()
             .into_iter()
             .filter(|(_, kind, _)| [K_PAGE, K_PAGE_D].contains(kind));
         for (page, kind, _) in pages {
-            let (mut with, mut without) = (page.clone(), page);
-            for (p, s) in [(&mut with, Some(sample_summary())), (&mut without, None)] {
-                if let Response::Page { summary, .. } | Response::PageD { summary, .. } = p {
-                    *summary = s;
+            let carrying = |s: Option<&StatsSnapshot>| {
+                let mut p = page.clone();
+                if let Response::Page { summary, .. } | Response::PageD { summary, .. } = &mut p {
+                    *summary = s.cloned();
                 }
-            }
+                p
+            };
+            let (with, without) = (carrying(Some(&sample_summary())), carrying(None));
             // The tag is always there; the body follows it when set.
             assert_eq!(
                 encode_response(7, &with).len(),
-                encode_response(7, &without).len() + SPAN_SUMMARY_LEN,
+                encode_response(7, &without).len() + SUMMARY_LEN,
                 "{with:?}"
             );
+            // Every field, including all 16 entries of both per-LOD arrays.
             roundtrip_response(&with);
+            let body = encode_response(7, &with)[HEADER_LEN..].to_vec();
+            assert!(matches!(
+                decode_response_body(kind, &body[..body.len() - 1]).unwrap_err(),
+                WireError::Malformed("payload too short")
+            ));
+            let frame = encode_response(7, &carrying(Some(&short)));
+            let got = decode_response_body(kind, &frame[HEADER_LEN..]).unwrap();
+            assert_eq!(got, carrying(Some(&padded)));
 
             let mut bad = encode_response(7, &without)[HEADER_LEN..].to_vec();
             *bad.last_mut().unwrap() = 2;
             assert!(matches!(
                 decode_response_body(kind, &bad).unwrap_err(),
-                WireError::Malformed("unknown span-summary tag")
+                WireError::Malformed("unknown summary tag")
             ));
         }
     }

@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tripro::fault;
-use tripro::obs::{self, MetricSnapshot, SpanSummary};
+use tripro::obs::{self, MetricSnapshot};
 use tripro::sync::{lock, wait};
 use tripro::{
     Accel, Engine, Error, ExecStats, ObjectStore, Paradigm, PointQuery, QueryConfig,
@@ -212,9 +212,9 @@ impl ShardEngine {
     /// Execute a single admitted request and stream its response.
     fn serve_one(node: &Node<Self>, q: &Query) {
         let me = &node.handler;
-        node.execute(q, |trace_id| {
+        node.execute(q, |_| {
             // Per-request cost attribution: a sampled trace executes
-            // against a private stats block so its span summary reports
+            // against a private stats block so its summary reports
             // this request's work alone; the block is merged back into the
             // cumulative counters after execution. Unsampled requests write
             // straight to the shared block.
@@ -224,7 +224,7 @@ impl ShardEngine {
             let summary = local.map(|local| {
                 let snap = local.snapshot();
                 me.exec_stats.merge_from(&snap);
-                SpanSummary::from_stats(trace_id, 0, &snap)
+                snap
             });
             let result = result.map_err(|e| match e {
                 Error::DeadlineExceeded => Failure {

@@ -528,7 +528,7 @@ mod tests {
         assert!(Arc::ptr_eq(&t1, &t2));
         assert_eq!(t1.len(), d.triangles.len());
         // The tree references the cached buffer, not a copy.
-        assert!(Arc::ptr_eq(t1.shared_triangles(), &d.triangles));
+        assert!(std::ptr::eq(t1.triangles(), d.triangles.as_slice()));
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub use compute::{Accel, Computer};
 pub use deadline::Deadline;
 pub use error::{Error, Result};
 pub use fault::{FaultAction, Trigger};
-pub use obs::{CostExemplar, Histogram, MetricsRegistry, SpanSummary, TraceConfig};
+pub use obs::{CostExemplar, Histogram, MetricsRegistry, TraceConfig};
 pub use point::PointQuery;
 pub use pool::WorkerPool;
 pub use profiler::{choose_lods, measure_r, LodActivity, LodChoice, QueryKind};

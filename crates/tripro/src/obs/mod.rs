@@ -31,7 +31,7 @@ pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{Metric, MetricFamily, MetricsRegistry};
 pub use trace::{
     attach_exemplar, enabled, record_remote, render_slow_log, span, span_at, tracer, CostExemplar,
-    SpanKind, SpanRecord, SpanSummary, TraceConfig, TraceRecord, Tracer,
+    SpanKind, SpanRecord, TraceConfig, TraceRecord, Tracer,
 };
 
 use std::sync::atomic::AtomicU64;

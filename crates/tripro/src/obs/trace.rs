@@ -22,6 +22,7 @@
 //! enabled span pushes onto its thread's own context; the only lock is the
 //! slow log's, taken once per retained request.
 
+use crate::stats::StatsSnapshot;
 use crate::sync::{lock, Mutex};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,12 +47,12 @@ pub enum SpanKind {
     /// One LOD round of the refinement ladder.
     RefineRound,
     /// Geometric computation stage (used when stitching a shard's wire
-    /// span summary into a coordinator trace).
+    /// stats summary into a coordinator trace).
     Compute,
     /// Decode-cache miss handling (lookup + insert bookkeeping).
     CacheTouch,
     /// One remote shard sub-query, stitched into a coordinator trace from
-    /// the shard's wire span summary (`object` carries the shard index).
+    /// the shard's wire stats summary (`object` carries the shard index).
     Shard,
     /// One attempt of a retrying client (`object` carries the attempt
     /// index), so a retried request renders as one waterfall.
@@ -123,94 +124,13 @@ impl SpanRecord {
     }
 }
 
-/// Compact per-request execution summary a shard ships back on the wire
-/// (protocol v6) so the coordinator can stitch shard-local detail into its
-/// own trace without shipping whole span trees.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SpanSummary {
-    /// The propagated trace id the work ran under.
-    pub trace_id: u64,
-    /// End-to-end request wall time on the shard (ns).
-    pub total_ns: u64,
-    /// Per-stage wall: global-index filter time (ns).
-    pub filter_ns: u64,
-    /// Per-stage wall: progressive decode time (ns).
-    pub decode_ns: u64,
-    /// Per-stage wall: geometric computation time (ns).
-    pub compute_ns: u64,
-    /// Bytes of geometry materialised by decodes.
-    pub decoded_bytes: u64,
-    /// Decode-cache hits.
-    pub cache_hits: u64,
-    /// Decode-cache misses.
-    pub cache_misses: u64,
-    /// Progressive refinement rounds executed.
-    pub lod_rounds: u64,
-    /// Object pairs resolved (pruned from further refinement).
-    pub resolved_pairs: u64,
-}
-
-impl SpanSummary {
-    /// Build a summary from a per-request stats snapshot.
-    #[must_use]
-    pub fn from_stats(trace_id: u64, total_ns: u64, s: &crate::stats::StatsSnapshot) -> Self {
-        Self {
-            trace_id,
-            total_ns,
-            filter_ns: s.filter_ns,
-            decode_ns: s.decode_ns,
-            compute_ns: s.compute_ns,
-            decoded_bytes: s.decoded_bytes,
-            cache_hits: s.cache_hits,
-            cache_misses: s.cache_misses,
-            lod_rounds: s.lod_rounds,
-            resolved_pairs: s.resolved_pairs(),
-        }
-    }
-
-    /// Add `other`'s stage times and counters into `self`. `trace_id` and
-    /// `total_ns` stay as they are: the request's identity and wall time
-    /// belong to whoever owns the sum.
-    pub fn add(&mut self, other: &SpanSummary) {
-        self.filter_ns += other.filter_ns;
-        self.decode_ns += other.decode_ns;
-        self.compute_ns += other.compute_ns;
-        self.decoded_bytes += other.decoded_bytes;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.lod_rounds += other.lod_rounds;
-        self.resolved_pairs += other.resolved_pairs;
-    }
-
-    /// Decode-cache hit ratio in `[0, 1]`; 0.0 when nothing was requested.
-    #[must_use]
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Decoded bytes per resolved pair; 0.0 when nothing was resolved.
-    #[must_use]
-    pub fn bytes_per_pair(&self) -> f64 {
-        if self.resolved_pairs == 0 {
-            0.0
-        } else {
-            self.decoded_bytes as f64 / self.resolved_pairs as f64
-        }
-    }
-}
-
 /// Per-query cost attribution retained with a slow trace: the exemplar
 /// that links the decode-cost metrics back to a concrete trace (the
 /// margin planner's input signal — see ROADMAP).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CostExemplar {
     /// The query's work summed over every shard that reported it.
-    pub total: SpanSummary,
+    pub total: StatsSnapshot,
     /// Per-shard fanout contribution: `(shard, sub_query_wall_ns,
     /// decoded_bytes)`, one entry per shard that worked on the query.
     pub shards: Vec<(u32, u64, u64)>,
@@ -225,11 +145,11 @@ impl CostExemplar {
             "cost: {} decoded bytes / {} resolved pairs = {:.1} B/pair, \
              cache {}/{} ({:.1}% hit), {} lod rounds",
             t.decoded_bytes,
-            t.resolved_pairs,
-            t.bytes_per_pair(),
+            t.resolved_pairs(),
+            t.bytes_per_resolved_pair(),
             t.cache_hits,
             t.cache_hits + t.cache_misses,
-            t.hit_ratio() * 100.0,
+            t.hit_rate() * 100.0,
             t.lod_rounds,
         );
         if !self.shards.is_empty() {
@@ -482,7 +402,7 @@ pub fn attach_exemplar(ex: CostExemplar) -> bool {
 
 /// Record an already-measured span into the request context on this
 /// thread — the stitching primitive for remote work: the coordinator
-/// replays each shard's wire span summary as child spans of its own
+/// replays each shard's wire stats summary as child spans of its own
 /// trace. `started` anchors the span on the local waterfall (clamped to
 /// the request start); `extra_depth` nests synthetic children below a
 /// parent recorded the same way. Returns false when tracing is off or no
@@ -773,13 +693,13 @@ mod tests {
                     1
                 ));
                 assert!(attach_exemplar(CostExemplar {
-                    total: SpanSummary {
+                    total: StatsSnapshot {
                         decoded_bytes: 4096,
-                        resolved_pairs: 8,
+                        pairs_pruned: vec![5, 3],
                         cache_hits: 3,
                         cache_misses: 1,
                         lod_rounds: 2,
-                        ..SpanSummary::default()
+                        ..StatsSnapshot::default()
                     },
                     shards: vec![(2, 5_000_000, 4096)],
                 }));
@@ -803,8 +723,8 @@ mod tests {
                 .expect("stitched child span");
             assert_eq!(child.depth, shard.depth + 1);
             let ex = t.exemplar.as_ref().expect("exemplar retained");
-            assert!((ex.total.bytes_per_pair() - 512.0).abs() < 1e-9);
-            assert!((ex.total.hit_ratio() - 0.75).abs() < 1e-9);
+            assert!((ex.total.bytes_per_resolved_pair() - 512.0).abs() < 1e-9);
+            assert!((ex.total.hit_rate() - 0.75).abs() < 1e-9);
             let rendered = t.render();
             assert!(rendered.contains("shard=2"), "{rendered}");
             // The exemplar's lines close the trace, indented under it.

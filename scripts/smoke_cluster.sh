@@ -10,6 +10,7 @@
 #      (node="shard0..2") plus an exact node="cluster" aggregate,
 #   4. `tripro trace --addr` on the coordinator renders stitched cluster
 #      waterfalls with child spans from all 3 shards under one trace id,
+#      with the cost line and a fanout line naming all 3 shards,
 #   5. every process drains cleanly on a wire Shutdown frame.
 #
 # Usage: scripts/smoke_cluster.sh [port-base]   (default 3760)
@@ -116,15 +117,20 @@ echo "[smoke_cluster] cross-node trace waterfalls on the coordinator"
 TRACES="$WORK/traces.txt"
 "$BIN/tripro" trace --addr "$COORD" > "$TRACES"
 # At least one stitched record must contain a child span from every
-# shard; records are blocks starting with "trace 0x...".
+# shard, plus the cost line and a fanout line naming every shard (which
+# decodes each shard's wire summary); records are blocks starting with
+# "trace 0x...".
 awk '
-    /^trace 0x/ { if (s0 && s1 && s2) ok = 1; s0 = s1 = s2 = 0 }
+    function check() { if (s0 && s1 && s2 && cost && f0 && f1 && f2) ok = 1 }
+    /^trace 0x/ { check(); s0 = s1 = s2 = cost = f0 = f1 = f2 = 0 }
     /shard=0/ { s0 = 1 }
     /shard=1/ { s1 = 1 }
     /shard=2/ { s2 = 1 }
-    END { if ((s0 && s1 && s2) || ok) exit 0; exit 1 }
+    /^ *cost: / { cost = 1 }
+    /^ *fanout:/ { f0 = / shard 0 /; f1 = / shard 1 /; f2 = / shard 2 / }
+    END { check(); exit !ok }
 ' "$TRACES" || {
-    echo "[smoke_cluster] no trace waterfall spans all 3 shards:" >&2
+    echo "[smoke_cluster] no trace waterfall spans all 3 shards with their cost and fanout:" >&2
     head -40 "$TRACES" >&2
     exit 1
 }

@@ -217,7 +217,7 @@ fn cluster_matches_single_engine_for_all_join_kinds() {
 /// must land in the coordinator's slow log as ONE stitched waterfall —
 /// a single record, under the client's trace id, with a `shard` child
 /// span for every shard that worked on the query — and the final reply
-/// page must carry the aggregated span summary back to the client.
+/// page must carry the aggregated stats summary back to the client.
 #[test]
 fn traced_cluster_query_stitches_one_waterfall_in_coordinator_slow_log() {
     use tripro::obs;
@@ -234,7 +234,6 @@ fn traced_cluster_query_stitches_one_waterfall_in_coordinator_slow_log() {
     // tests sharing the process-global tracer.
     let trace = tripro_serve::TraceContext {
         trace_id: 0x7C0F_FEE0_3D5A_0005,
-        parent_span_id: 0,
         sampled: true,
     };
     let mut c = Client::connect(cluster.coord.addr()).expect("connect coordinator");
@@ -300,9 +299,13 @@ fn traced_cluster_query_stitches_one_waterfall_in_coordinator_slow_log() {
     fanout.sort_unstable();
     assert_eq!(fanout, vec![0, 1, 2], "exemplar fanout incomplete: {ex:?}");
 
-    // The aggregated summary reached the client on the final reply page.
-    let summary = summary.expect("a sampled reply must carry a span summary");
-    assert_eq!(summary.trace_id, trace.trace_id);
+    // The aggregated summary reached the client on the final reply page:
+    // it is the stitched exemplar's total, the sum of the shard legs.
+    let summary = summary.expect("a sampled reply must carry a stats summary");
+    assert_eq!(summary, ex.total);
+    let leg_bytes: u64 = ex.shards.iter().map(|&(_, _, bytes)| bytes).sum();
+    assert_eq!(summary.decoded_bytes, leg_bytes, "{ex:?}");
+    assert!(summary.resolved_pairs() > 0, "{summary:?}");
 
     obs::tracer().clear_slow_log();
     cluster.coord.shutdown();

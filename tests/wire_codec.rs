@@ -70,24 +70,24 @@ fn metered<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// One valid payload per frame kind and per optional body (hex; spaces
-/// separate fields): trace context absent and present, span summary absent
+/// separate fields): trace context absent and present, stats summary absent
 /// and present, a counter and a histogram series.
 #[rustfmt::skip]
 const SEEDS: &[(u8, &str)] = &[
-    (0x01, "07 07 02"),
+    (0x01, "08 08 02"),
     (0x02, ""),
     (0x04, ""),
     (0x05, ""),
     (0x07, ""),
     (0x09, ""),
     (0x10, "000000000000f03f 0000000000000040 0000000000000840 fa000000 00"),
-    (0x11, "09000000 fa000000 01 0807060504030201 0200000000000000 01"),
+    (0x11, "09000000 fa000000 01 0807060504030201 01"),
     (0x12, "09000000 000000000000e03f fa000000 00"),
-    (0x13, "09000000 ffffffff 01 0100000000000000 0000000000000000 00"),
+    (0x13, "09000000 ffffffff 01 0100000000000000 00"),
     (0x14, "09000000 04000000 fa000000 00"),
     (0x15, "09000000 fa000000 00"),
     (0x16, "09000000 04000000 00000000 00"),
-    (0x81, "07 01"),
+    (0x81, "08 01"),
     (0x82, ""),
     (0x84, ""),
     (0x85, "02000000 0100 6e 0100 6c 0000 00 2900000000000000 \
@@ -97,13 +97,31 @@ const SEEDS: &[(u8, &str)] = &[
             2800000000000000 1100000000000000 2900000000000000"),
     (0x89, "04000000 61c3a90a"),
     (0x90, "01 00 03000000 05000000 09000000 0a000000 00"),
-    (0x90, "00 01 01000000 05000000 01 ab00000000000000 40420f0000000000 6400000000000000 \
-            c800000000000000 2c01000000000000 0010000000000000 0300000000000000 \
-            0100000000000000 0200000000000000 0800000000000000"),
+    (0x90, "00 01 01000000 05000000 01 \
+            6400000000000000 c800000000000000 2c01000000000000 0700000000000000 \
+            0300000000000000 0100000000000000 0100000000000000 0010000000000000 \
+            0200000000000000 0000000000000000 0800000000000000 0400000000000000 \
+            0000000000000000 0000000000000000 0000000000000000 0000000000000000 \
+            0000000000000000 0000000000000000 0000000000000000 0000000000000000 \
+            0000000000000000 0000000000000000 0000000000000000 0000000000000000 \
+            0000000000000000 0000000000000000 0400000000000000 0400000000000000 \
+            0000000000000000 0000000000000000 0000000000000000 0000000000000000 \
+            0000000000000000 0000000000000000 0000000000000000 0000000000000000 \
+            0000000000000000 0000000000000000 0000000000000000 0000000000000000 \
+            0000000000000000 0000000000000000"),
     (0x91, "01 00 02000000 03000000 000000000000d03f 07000000 000000000000f87f 00"),
-    (0x91, "01 01 00000000 01 0100000000000000 0200000000000000 0300000000000000 \
-            0400000000000000 0500000000000000 0600000000000000 0700000000000000 \
-            0800000000000000 0900000000000000 0a00000000000000"),
+    (0x91, "01 01 00000000 01 \
+            0100000000000000 0200000000000000 0300000000000000 0400000000000000 \
+            0500000000000000 0600000000000000 0700000000000000 0800000000000000 \
+            0900000000000000 0a00000000000000 1100000000000000 1200000000000000 \
+            1300000000000000 1400000000000000 1500000000000000 1600000000000000 \
+            1700000000000000 1800000000000000 1900000000000000 1a00000000000000 \
+            1b00000000000000 1c00000000000000 1d00000000000000 1e00000000000000 \
+            1f00000000000000 2000000000000000 2100000000000000 2200000000000000 \
+            2300000000000000 2400000000000000 2500000000000000 2600000000000000 \
+            2700000000000000 2800000000000000 2900000000000000 2a00000000000000 \
+            2b00000000000000 2c00000000000000 2d00000000000000 2e00000000000000 \
+            2f00000000000000 3000000000000000"),
     (0xFF, "01 0400 62757379 fa000000"),
 ];
 
