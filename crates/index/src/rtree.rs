@@ -198,14 +198,16 @@ impl<T: Clone> RTree<T> {
     /// Nearest-neighbour candidate collection (paper §4.3): best-first
     /// traversal by MINDIST, pruning by the running MINMAXDIST. The result
     /// contains every object whose distance range to `target` overlaps the
-    /// smallest MAXDIST seen, each with its `[MINDIST, MAXDIST]` range.
+    /// smallest MAXDIST seen, each with its `[MINDIST, MAXDIST]` range,
+    /// nearest MINDIST first.
     pub fn nn_candidates(&self, target: &Aabb) -> Vec<(T, DistRange)> {
         self.knn_candidates(target, 1)
     }
 
     /// k-nearest-neighbour candidate collection: keeps the pruning threshold
     /// at the k-th smallest MAXDIST so at least `k` true nearest neighbours
-    /// survive filtering (§4.3's kNN note).
+    /// survive filtering (§4.3's kNN note). Candidates come back in
+    /// ascending MINDIST order (ties in leaf order).
     pub fn knn_candidates(&self, target: &Aabb, k: usize) -> Vec<(T, DistRange)> {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
@@ -289,6 +291,10 @@ impl<T: Clone> RTree<T> {
             f64::INFINITY
         };
         found.retain(|(_, r)| r.min <= threshold);
+        // Nearest first, so a caller's cut-off tightens on the closest
+        // candidates before it meets the far ones; the stable sort keeps
+        // leaf order among ties.
+        found.sort_by(|a, b| a.1.min.total_cmp(&b.1.min));
         found
     }
 
@@ -432,6 +438,24 @@ mod tests {
             let cands = t.knn_candidates(&target, k);
             assert!(cands.len() >= k, "k={k} got {}", cands.len());
         }
+    }
+
+    #[test]
+    fn knn_candidates_come_nearest_first() {
+        let boxes = grid_boxes(5);
+        let t = RTree::bulk_load(boxes.clone());
+        let target = Aabb::from_point(vec3(4.6, 3.5, 1.9));
+        let cands = t.knn_candidates(&target, 3);
+        assert!(cands.len() >= 3);
+        assert!(
+            cands.windows(2).all(|w| w[0].1.min <= w[1].1.min),
+            "MINDIST not non-decreasing"
+        );
+        let nearest = boxes
+            .iter()
+            .map(|(bb, _)| bb.min_dist(&target))
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(cands[0].1.min.to_bits(), nearest.to_bits());
     }
 
     #[test]

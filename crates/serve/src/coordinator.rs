@@ -22,9 +22,10 @@
 //!   byte-identical to a single engine because each per-target result
 //!   list is sorted there too.
 //! * `Nn`/`Knn` scatter scored sub-queries (`NnEx`/`KnnEx`) to **all**
-//!   shards; each returns its local winners with exact top-LOD distances,
-//!   and the merge orders by `(distance, id)` and deduplicates replicas —
-//!   bit-identical to the engine's own `(dist, id)` ranking.
+//!   shards; each returns its local winners with the exact top-LOD
+//!   distances its own kNN tail computed (`NnEx` is the shard's kNN
+//!   top-1), and the merge orders by `(distance, id)` and deduplicates
+//!   replicas — bit-identical to the engine's own `(dist, id)` ranking.
 //!
 //! ## Overload and failure
 //!

@@ -180,16 +180,12 @@ impl ShardEngine {
             ids: ids.into_iter().map(|id| self.global_id(id)).collect(),
             partial: false,
         };
-        let scored = |t: u32, ids: Vec<u32>| -> Result<Reply, Error> {
-            let mut items = Vec::with_capacity(ids.len());
-            for c in ids {
-                let d = engine.pair_distance(t, c, &qc, stats)?;
-                items.push((self.global_id(c), d));
-            }
-            Ok(Reply::Scored {
-                items,
-                partial: false,
-            })
+        let scored = |items: Vec<(u32, f64)>| Reply::Scored {
+            items: items
+                .into_iter()
+                .map(|(c, d)| (self.global_id(c), d))
+                .collect(),
+            partial: false,
         };
         match q.op {
             Op::Contains(pt) => PointQuery::new(&self.target)
@@ -204,8 +200,10 @@ impl ShardEngine {
                 .nn_one(t, &qc, stats)
                 .map(|nn| global(nn.into_iter().collect())),
             Op::Knn(t, k) => engine.knn_one(t, k as usize, &qc, stats).map(global),
-            Op::NnEx(t) => scored(t, engine.nn_one(t, &qc, stats)?.into_iter().collect()),
-            Op::KnnEx(t, k) => scored(t, engine.knn_one(t, k as usize, &qc, stats)?),
+            // A shard's NN is its kNN top-1: the distances its own kNN tail
+            // computed are the ones the coordinator merges on.
+            Op::NnEx(t) => engine.knn_scored(t, 1, &qc, stats).map(scored),
+            Op::KnnEx(t, k) => engine.knn_scored(t, k as usize, &qc, stats).map(scored),
         }
     }
 

@@ -701,6 +701,30 @@ impl<'a> Engine<'a> {
         k: usize,
         stats: &ExecStats,
     ) -> Result<Vec<ObjectId>> {
+        let scored = self.knn_scored_in(ctx, t, k, stats)?;
+        Ok(scored.into_iter().map(|(c, _)| c).collect())
+    }
+
+    /// [`knn_one`](Self::knn_one) with each winner's exact distance, the
+    /// one its ranking used: what a shard hands a coordinator to merge on,
+    /// so the merged ranking is bit-identical to a single-engine run.
+    pub fn knn_scored(
+        &self,
+        t: ObjectId,
+        k: usize,
+        cfg: &QueryConfig,
+        stats: &ExecStats,
+    ) -> Result<Vec<(ObjectId, f64)>> {
+        self.knn_scored_in(&self.join_ctx(cfg), t, k, stats)
+    }
+
+    fn knn_scored_in(
+        &self,
+        ctx: &JoinCtx,
+        t: ObjectId,
+        k: usize,
+        stats: &ExecStats,
+    ) -> Result<Vec<(ObjectId, f64)>> {
         if k == 0 {
             return Ok(Vec::new());
         }
@@ -720,19 +744,20 @@ impl<'a> Engine<'a> {
         // take the k best.
         ctx.deadline.check()?;
         let geom_t = self.target.get(t, ctx.top(), stats)?;
-        let mut scored: Vec<(f64, ObjectId)> = Vec::with_capacity(survivors.len());
+        let mut scored: Vec<(ObjectId, f64)> = Vec::with_capacity(survivors.len());
         for (c, r) in survivors {
             // A collapsed range is an exact distance already in hand; compare
             // bitwise (eps would falsely collapse nearly-settled ranges).
-            if tripro_geom::is_exactly(r.min, r.max) {
-                scored.push((r.max, c));
+            let d = if tripro_geom::is_exactly(r.min, r.max) {
+                r.max
             } else {
-                scored.push((self.top_distance(ctx, &geom_t, t, c, stats)?, c));
-            }
+                self.top_distance(ctx, &geom_t, t, c, r.max, stats)?
+            };
+            scored.push((c, d));
         }
-        scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         scored.truncate(k);
-        Ok(scored.into_iter().map(|(_, c)| c).collect())
+        Ok(scored)
     }
 
     /// k-nearest-neighbour join: the `k` nearest source objects for every
@@ -742,42 +767,38 @@ impl<'a> Engine<'a> {
     }
 
     /// Exact distance from target `t`, already decoded at the ladder top as
-    /// `geom_t`, to source `c`: `min_dist2` with nothing to clamp against.
+    /// `geom_t`, to source `c`, whose MAXDIST is `max`. By P2 the distance
+    /// is at most `max`, so the kernel runs clamped just above it, stops
+    /// early beyond it, and returns the exact value below it; a clamped
+    /// result (`max` understated the distance) is redone unbounded, so the
+    /// value is the unbounded kernel's either way.
     fn top_distance(
         &self,
         ctx: &JoinCtx,
         geom_t: &LodData,
         t: ObjectId,
         c: ObjectId,
+        max: f64,
         stats: &ExecStats,
     ) -> Result<f64> {
         let geom_c = self.source.get(c, ctx.top(), stats)?;
-        stats.record_pair_evaluated(ctx.top());
-        let d2 = ctx.computer.min_dist2(
-            geom_t,
-            &geom_c,
-            self.target.skeleton(t),
-            self.source.skeleton(c),
-            f64::INFINITY,
-            stats,
-        );
+        let min_dist2 = |clamp: f64| {
+            stats.record_pair_evaluated(ctx.top());
+            ctx.computer.min_dist2(
+                geom_t,
+                &geom_c,
+                self.target.skeleton(t),
+                self.source.skeleton(c),
+                clamp,
+                stats,
+            )
+        };
+        let clamp = clamp2(max);
+        let mut d2 = min_dist2(clamp);
+        if d2 >= clamp {
+            d2 = min_dist2(f64::INFINITY);
+        }
         Ok(d2.sqrt())
-    }
-
-    /// Exact distance between target `t` and source `c`, scored exactly
-    /// the way `knn_one`'s final pass scores survivors. A shard coordinator
-    /// uses this to merge per-shard kNN winners on exact distances, so the
-    /// merged ranking is bit-identical to a single-engine run.
-    pub fn pair_distance(
-        &self,
-        t: ObjectId,
-        c: ObjectId,
-        cfg: &QueryConfig,
-        stats: &ExecStats,
-    ) -> Result<f64> {
-        let ctx = self.join_ctx(cfg);
-        let geom_t = self.target.get(t, ctx.top(), stats)?;
-        self.top_distance(&ctx, &geom_t, t, c, stats)
     }
 
     // -----------------------------------------------------------------
@@ -1069,6 +1090,69 @@ mod tests {
             let got = engine.knn_one(0, k, &cfg, &stats).unwrap();
             let want: Vec<ObjectId> = reference.iter().take(k).map(|&(_, c)| c).collect();
             assert_eq!(got, want, "k={k}");
+            // The returned distances are the unbounded kernel's, bit for bit.
+            let scored: Vec<(ObjectId, u64)> = engine
+                .knn_scored(0, k, &cfg, &stats)
+                .unwrap()
+                .into_iter()
+                .map(|(c, d)| (c, d.to_bits()))
+                .collect();
+            let want: Vec<(ObjectId, u64)> = reference
+                .iter()
+                .take(k)
+                .map(|&(d, c)| (c, d.to_bits()))
+                .collect();
+            assert_eq!(scored, want, "k={k}");
+        }
+    }
+
+    #[test]
+    fn knn_scored_top1_is_nn_one() {
+        // A shard answers NN with its kNN top-1; that is safe only if the
+        // two agree for every target under every configuration.
+        let (t, s) = setup();
+        let engine = Engine::new(&t, &s);
+        for cfg in all_configs() {
+            let stats = ExecStats::new();
+            for tid in 0..t.len() as ObjectId {
+                let top1: Vec<ObjectId> = engine
+                    .knn_scored(tid, 1, &cfg, &stats)
+                    .unwrap()
+                    .into_iter()
+                    .map(|(c, _)| c)
+                    .collect();
+                let nn: Vec<ObjectId> = engine
+                    .nn_one(tid, &cfg, &stats)
+                    .unwrap()
+                    .into_iter()
+                    .collect();
+                assert_eq!(top1, nn, "target {tid} {:?} {:?}", cfg.paradigm, cfg.accel);
+            }
+        }
+    }
+
+    #[test]
+    fn top_distance_below_the_true_distance_falls_back_unbounded() {
+        let (t, s) = setup();
+        let engine = Engine::new(&t, &s);
+        for accel in Accel::ALL {
+            let cfg = QueryConfig::new(Paradigm::FilterProgressiveRefine, accel);
+            let ctx = engine.join_ctx(&cfg);
+            let stats = ExecStats::new();
+            let geom_t = t.get(1, ctx.top(), &stats).unwrap();
+            // Target 1 (x=10, r=2) to source 2 (x=40, r=2): about 26 apart.
+            let exact = engine
+                .top_distance(&ctx, &geom_t, 1, 2, f64::INFINITY, &stats)
+                .unwrap();
+            assert!(exact > 20.0, "{accel:?}: {exact}");
+            let before = stats.snapshot().pairs_evaluated[ctx.top()];
+            let got = engine
+                .top_distance(&ctx, &geom_t, 1, 2, 1.0, &stats)
+                .unwrap();
+            assert_eq!(got.to_bits(), exact.to_bits(), "{accel:?}");
+            // The clamped first call plus the unbounded fallback.
+            let after = stats.snapshot().pairs_evaluated[ctx.top()];
+            assert_eq!(after - before, 2, "{accel:?}");
         }
     }
 

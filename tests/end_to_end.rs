@@ -2,7 +2,7 @@
 //! stores, and check that every paradigm × acceleration combination — and
 //! the PostGIS-style baseline — agrees on all three join types.
 
-use tripro::{Accel, Engine, ObjectStore, Paradigm, QueryConfig, StoreConfig};
+use tripro::{Accel, Engine, ExecStats, ObjectStore, Paradigm, QueryConfig, StoreConfig};
 use tripro_baseline::BaselineDb;
 use tripro_synth::{DatasetConfig, TissueBlock, VesselConfig};
 
@@ -104,6 +104,14 @@ fn nn_join_consistent_across_strategies_and_baseline() {
         others.cache().clear();
         let (pairs, _) = engine.nn_join(&cfg).unwrap();
         assert_eq!(pairs.len(), reference.len());
+        // A shard answers NN with its kNN top-1, so the two must agree on
+        // every target under every configuration.
+        let stats = ExecStats::new();
+        for (t, nn) in &pairs {
+            let top1 = engine.knn_scored(*t, 1, &cfg, &stats).unwrap();
+            let top1: Option<u32> = top1.first().map(|&(c, _)| c);
+            assert_eq!(top1, *nn, "target {t} {:?}/{:?}", cfg.paradigm, cfg.accel);
+        }
         let mut diff = 0;
         for ((t1, n1), (t2, n2)) in pairs.iter().zip(&reference) {
             assert_eq!(t1, t2);
@@ -148,6 +156,14 @@ fn fr_and_fpr_agree_exactly_on_compressed_geometry() {
     let (i1, _) = e2.intersection_join(&fr).unwrap();
     let (i2, _) = e2.intersection_join(&fpr).unwrap();
     assert_eq!(i1, i2);
+
+    for accel in Accel::ALL {
+        let fr = QueryConfig::new(Paradigm::FilterRefine, accel);
+        let fpr = QueryConfig::new(Paradigm::FilterProgressiveRefine, accel);
+        let (k1, _) = e2.knn_join(3, &fr).unwrap();
+        let (k2, _) = e2.knn_join(3, &fpr).unwrap();
+        assert_eq!(k1, k2, "{accel:?}");
+    }
 }
 
 #[test]
