@@ -8,4 +8,4 @@ pub mod aabbtree;
 pub mod rtree;
 
 pub use aabbtree::AabbTree;
-pub use rtree::{RTree, WithinResult};
+pub use rtree::{KthSmallest, RTree, WithinResult};

@@ -195,19 +195,12 @@ impl<T: Clone> RTree<T> {
         res
     }
 
-    /// Nearest-neighbour candidate collection (paper §4.3): best-first
-    /// traversal by MINDIST, pruning by the running MINMAXDIST. The result
-    /// contains every object whose distance range to `target` overlaps the
-    /// smallest MAXDIST seen, each with its `[MINDIST, MAXDIST]` range,
-    /// nearest MINDIST first.
-    pub fn nn_candidates(&self, target: &Aabb) -> Vec<(T, DistRange)> {
-        self.knn_candidates(target, 1)
-    }
-
-    /// k-nearest-neighbour candidate collection: keeps the pruning threshold
-    /// at the k-th smallest MAXDIST so at least `k` true nearest neighbours
-    /// survive filtering (§4.3's kNN note). Candidates come back in
-    /// ascending MINDIST order (ties in leaf order).
+    /// k-nearest-neighbour candidate collection (paper §4.3, after
+    /// Roussopoulos et al.): best-first traversal by MINDIST, pruning by the
+    /// k-th smallest MAXDIST seen (MINMAXDIST for `k = 1`), so at least `k`
+    /// true nearest neighbours survive filtering. Each candidate comes with
+    /// its `[MINDIST, MAXDIST]` range, nearest MINDIST first (ties in leaf
+    /// order).
     pub fn knn_candidates(&self, target: &Aabb, k: usize) -> Vec<(T, DistRange)> {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
@@ -216,68 +209,35 @@ impl<T: Clone> RTree<T> {
             return Vec::new();
         }
 
-        #[derive(PartialEq)]
-        struct Key(f64);
-        impl Eq for Key {}
-        impl PartialOrd for Key {
-            fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(o))
-            }
-        }
-        impl Ord for Key {
-            fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-                self.0.total_cmp(&o.0)
-            }
-        }
-
         // Best-first over nodes by MINDIST.
-        let mut heap: BinaryHeap<(Reverse<Key>, usize)> = BinaryHeap::new();
+        let mut heap: BinaryHeap<(Reverse<OrdF64>, usize)> = BinaryHeap::new();
         let mut nodes: Vec<&Node<T>> = vec![&self.root];
-        heap.push((Reverse(Key(self.root.bb().min_dist(target))), 0));
+        heap.push((Reverse(OrdF64(self.root.bb().min_dist(target))), 0));
 
-        // Track the k smallest MAXDISTs seen so far (max-heap of size k).
-        let mut kth: BinaryHeap<Key> = BinaryHeap::new();
+        let mut kth = KthSmallest::new(k);
         let mut found: Vec<(T, DistRange)> = Vec::new();
 
-        while let Some((Reverse(Key(mind)), idx)) = heap.pop() {
-            let threshold = if kth.len() >= k {
-                kth.peek().map_or(f64::INFINITY, |t| t.0)
-            } else {
-                f64::INFINITY
-            };
-            if mind > threshold {
+        while let Some((Reverse(OrdF64(mind)), idx)) = heap.pop() {
+            if mind > kth.kth() {
                 break; // every remaining node is too far
             }
             match nodes[idx] {
                 Node::Leaf { entries, .. } => {
                     for (bb, v) in entries {
                         let r = bb.dist_range(target);
-                        let threshold = if kth.len() >= k {
-                            kth.peek().map_or(f64::INFINITY, |t| t.0)
-                        } else {
-                            f64::INFINITY
-                        };
-                        if r.min > threshold {
+                        if r.min > kth.kth() {
                             continue;
                         }
                         found.push((v.clone(), r));
-                        kth.push(Key(r.max));
-                        if kth.len() > k {
-                            kth.pop();
-                        }
+                        kth.push(r.max);
                     }
                 }
                 Node::Inner { children, .. } => {
                     for c in children {
                         let d = c.bb().min_dist(target);
-                        let threshold = if kth.len() >= k {
-                            kth.peek().map_or(f64::INFINITY, |t| t.0)
-                        } else {
-                            f64::INFINITY
-                        };
-                        if d <= threshold {
+                        if d <= kth.kth() {
                             nodes.push(c);
-                            heap.push((Reverse(Key(d)), nodes.len() - 1));
+                            heap.push((Reverse(OrdF64(d)), nodes.len() - 1));
                         }
                     }
                 }
@@ -285,11 +245,7 @@ impl<T: Clone> RTree<T> {
         }
 
         // Final prune with the settled threshold.
-        let threshold = if kth.len() >= k {
-            kth.peek().map_or(f64::INFINITY, |t| t.0)
-        } else {
-            f64::INFINITY
-        };
+        let threshold = kth.kth();
         found.retain(|(_, r)| r.min <= threshold);
         // Nearest first, so a caller's cut-off tightens on the closest
         // candidates before it meets the far ones; the stable sort keeps
@@ -328,6 +284,63 @@ pub struct WithinResult<T> {
     pub definite: Vec<T>,
     /// Objects needing geometric refinement.
     pub candidates: Vec<T>,
+}
+
+/// Total-order f64 wrapper so a [`BinaryHeap`](std::collections::BinaryHeap)
+/// can hold distances.
+#[derive(PartialEq)]
+struct OrdF64(f64);
+
+impl Eq for OrdF64 {}
+
+impl PartialOrd for OrdF64 {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for OrdF64 {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// Bounded max-heap over the `k` smallest values pushed so far: the §4.3
+/// k-th smallest MAXDIST that both the R-tree filter and the refinement's
+/// Nearest rule prune against. `kth()` is O(1), each `push` O(log k).
+pub struct KthSmallest {
+    k: usize,
+    heap: std::collections::BinaryHeap<OrdF64>,
+}
+
+impl KthSmallest {
+    #[must_use]
+    pub fn new(k: usize) -> Self {
+        Self {
+            k,
+            heap: std::collections::BinaryHeap::with_capacity(k + 1),
+        }
+    }
+
+    pub fn push(&mut self, v: f64) {
+        if self.heap.len() < self.k {
+            self.heap.push(OrdF64(v));
+        } else if self.heap.peek().is_some_and(|top| v < top.0) {
+            self.heap.pop();
+            self.heap.push(OrdF64(v));
+        }
+    }
+
+    /// The k-th smallest value pushed so far; ∞ until `k` values are seen
+    /// (a bound cannot tighten before k candidates settle).
+    #[must_use]
+    pub fn kth(&self) -> f64 {
+        if self.heap.len() < self.k {
+            f64::INFINITY
+        } else {
+            self.heap.peek().map_or(f64::INFINITY, |top| top.0)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -376,7 +389,7 @@ mod tests {
         assert!(t.is_empty());
         let w = Aabb::from_corners(vec3(0.0, 0.0, 0.0), vec3(1.0, 1.0, 1.0));
         assert!(t.query_intersects(&w).is_empty());
-        assert!(t.nn_candidates(&w).is_empty());
+        assert!(t.knn_candidates(&w, 1).is_empty());
         let r = t.within(&w, 10.0);
         assert!(r.definite.is_empty() && r.candidates.is_empty());
     }
@@ -407,7 +420,7 @@ mod tests {
         let t = RTree::bulk_load(boxes.clone());
         // A probe near box id for (1,1,1): center at (3.5+..).
         let target = Aabb::from_corners(vec3(3.2, 3.2, 3.2), vec3(3.8, 3.8, 3.8));
-        let cands = t.nn_candidates(&target);
+        let cands = t.knn_candidates(&target, 1);
         assert!(!cands.is_empty());
         // Brute force: true nearest by MINDIST must be among candidates.
         let brute_nearest = boxes
@@ -481,8 +494,38 @@ mod tests {
         let t = RTree::bulk_load(vec![(bb, 42usize)]);
         assert_eq!(t.len(), 1);
         assert_eq!(t.query_intersects(&bb), vec![42]);
-        let nn = t.nn_candidates(&Aabb::from_point(vec3(9.0, 9.0, 9.0)));
+        let nn = t.knn_candidates(&Aabb::from_point(vec3(9.0, 9.0, 9.0)), 1);
         assert_eq!(nn.len(), 1);
         assert_eq!(nn[0].0, 42);
+    }
+
+    #[test]
+    fn kth_smallest_matches_sort_reference() {
+        // Deterministic LCG stream, checked against a full sort after
+        // every push.
+        let mut x = 7u64;
+        let mut vals: Vec<f64> = Vec::new();
+        let mut kth = KthSmallest::new(4);
+        for _ in 0..100 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let v = (x >> 11) as f64 / (1u64 << 53) as f64 * 100.0;
+            vals.push(v);
+            kth.push(v);
+            let mut sorted = vals.clone();
+            sorted.sort_by(f64::total_cmp);
+            let expect = if sorted.len() < 4 {
+                f64::INFINITY
+            } else {
+                sorted[3]
+            };
+            assert_eq!(
+                kth.kth().total_cmp(&expect),
+                std::cmp::Ordering::Equal,
+                "after {} pushes",
+                vals.len()
+            );
+        }
     }
 }

@@ -31,7 +31,7 @@ pub enum QueryReply {
     /// The query completed but the result is known-incomplete (a
     /// coordinator answered a kNN with one or more shards missing).
     PartialIds(Vec<u32>),
-    /// Scored results (`NnEx`/`KnnEx`): ids with exact distances, for
+    /// Scored results (`KnnEx`): ids with exact distances, for
     /// cross-shard merging.
     Scored {
         items: Vec<(u32, f64)>,
@@ -220,7 +220,6 @@ impl Client {
             | Request::Within { .. }
             | Request::Nn { .. }
             | Request::Knn { .. }
-            | Request::NnEx { .. }
             | Request::KnnEx { .. } => {}
             _ => return Err(ServeError::Unexpected("query() needs a query request")),
         }

@@ -1,5 +1,6 @@
-//! The scatter-gather coordinator: a node ([`crate::node`]) that routes
-//! queries to a cluster of shard engines and merges their partial results.
+//! The scatter-gather coordinator: a node (the shared `node` skeleton)
+//! that routes queries to a cluster of shard engines and merges their
+//! partial results.
 //!
 //! ## Topology
 //!
@@ -21,11 +22,11 @@
 //!   query region overlaps; ids are unioned, deduplicated and sorted —
 //!   byte-identical to a single engine because each per-target result
 //!   list is sorted there too.
-//! * `Nn`/`Knn` scatter scored sub-queries (`NnEx`/`KnnEx`) to **all**
-//!   shards; each returns its local winners with the exact top-LOD
-//!   distances its own kNN tail computed (`NnEx` is the shard's kNN
-//!   top-1), and the merge orders by `(distance, id)` and deduplicates
-//!   replicas — bit-identical to the engine's own `(dist, id)` ranking.
+//! * `Nn`/`Knn` scatter scored `KnnEx` sub-queries to **all** shards (NN
+//!   is `k = 1`); each returns its local winners with the exact top-LOD
+//!   distances its own kNN tail computed, and the merge orders by
+//!   `(distance, id)`, deduplicates replicas and keeps the first `k` —
+//!   bit-identical to the engine's own `(dist, id)` ranking.
 //!
 //! ## Overload and failure
 //!
@@ -252,7 +253,7 @@ impl Router {
                 };
                 self.map.shards_for_box(&grown)
             }
-            Op::Nn(_) | Op::Knn(..) | Op::NnEx(_) | Op::KnnEx(..) => self.map.all_shards(),
+            Op::Nearest { .. } => self.map.all_shards(),
         }
     }
 
@@ -298,18 +299,13 @@ impl Router {
                 d,
                 deadline_ms,
             },
-            Op::Nn(target) | Op::NnEx(target) => Request::NnEx {
-                target,
-                deadline_ms,
-            },
-            Op::Knn(target, k) | Op::KnnEx(target, k) => Request::KnnEx {
+            Op::Nearest { target, k, .. } => Request::KnnEx {
                 target,
                 k,
                 deadline_ms,
             },
         };
-        let can_partial = self.cfg.allow_partial
-            && matches!(q.op, Op::Knn(..) | Op::KnnEx(..) | Op::Nn(_) | Op::NnEx(_));
+        let can_partial = self.cfg.allow_partial && matches!(q.op, Op::Nearest { .. });
         // Propagate the cluster-wide trace id to shards when the client
         // traced this request or our own tracer is armed; ask for shard
         // summaries (sampled) in either case — they feed both the stitched
@@ -699,41 +695,24 @@ fn merge(
             ids.dedup();
             Reply::Ids { ids, partial }
         }
-        // Every shard returned its local best with the exact top-LOD
-        // distance; the global winner is the (distance, id) minimum.
-        Op::Nn(_) | Op::NnEx(_) => {
-            let winner = scored
-                .iter()
-                .copied()
-                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            match *op {
-                Op::NnEx(_) => Reply::Scored {
-                    items: winner.into_iter().collect(),
-                    partial,
-                },
-                _ => Reply::Ids {
-                    ids: winner.map(|(c, _)| c).into_iter().collect(),
-                    partial,
-                },
-            }
-        }
         // Union of per-shard top-k contains the global top-k; replicas of
         // the same id carry bit-identical distances, so sorting by
         // (distance, id) makes duplicates adjacent for dedup, then the
         // first k match the engine's own (distance, id) ranking.
-        Op::Knn(_, k) | Op::KnnEx(_, k) => {
+        Op::Nearest { k, scored: ex, .. } => {
             scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
             scored.dedup_by(|a, b| a.0 == b.0);
             scored.truncate(k as usize);
-            match *op {
-                Op::KnnEx(..) => Reply::Scored {
+            if ex {
+                Reply::Scored {
                     items: scored,
                     partial,
-                },
-                _ => Reply::Ids {
+                }
+            } else {
+                Reply::Ids {
                     ids: scored.into_iter().map(|(c, _)| c).collect(),
                     partial,
-                },
+                }
             }
         }
     })

@@ -83,13 +83,13 @@ pub(crate) enum Op {
     Contains([f64; 3]),
     Intersect(u32),
     Within(u32, f64),
-    Nn(u32),
-    Knn(u32, u32),
-    /// Scored nearest-neighbour (coordinator sub-query): the best with its
-    /// exact distance, for cross-shard merging.
-    NnEx(u32),
-    /// Scored kNN (coordinator sub-query): top-k with exact distances.
-    KnnEx(u32, u32),
+    /// The `k` nearest (NN is `k = 1`); `scored` answers with exact
+    /// distances (the coordinator's sub-query, for cross-shard merging).
+    Nearest {
+        target: u32,
+        k: u32,
+        scored: bool,
+    },
 }
 
 /// A framed, validated query on its way to a handler.
@@ -763,6 +763,8 @@ fn handle_frame<H: Handler>(
             return false;
         }
     };
+    // NN is kNN with k = 1; the scored kind is the coordinator's sub-query.
+    let nearest = |target, k, scored| Op::Nearest { target, k, scored };
     let (op, deadline_ms) = match request {
         Request::Contains { p, deadline_ms } => (Op::Contains(p), deadline_ms),
         Request::Intersect {
@@ -777,21 +779,17 @@ fn handle_frame<H: Handler>(
         Request::Nn {
             target,
             deadline_ms,
-        } => (Op::Nn(target), deadline_ms),
+        } => (nearest(target, 1, false), deadline_ms),
         Request::Knn {
             target,
             k,
             deadline_ms,
-        } => (Op::Knn(target, k), deadline_ms),
-        Request::NnEx {
-            target,
-            deadline_ms,
-        } => (Op::NnEx(target), deadline_ms),
+        } => (nearest(target, k, false), deadline_ms),
         Request::KnnEx {
             target,
             k,
             deadline_ms,
-        } => (Op::KnnEx(target, k), deadline_ms),
+        } => (nearest(target, k, true), deadline_ms),
         // Everything else is a probe, answered inline even under overload.
         Request::Hello {
             min_version,
@@ -833,13 +831,7 @@ fn handle_frame<H: Handler>(
     };
 
     // Validate before admission so a bad id never occupies a slot.
-    if let Op::Intersect(t)
-    | Op::Within(t, _)
-    | Op::Nn(t)
-    | Op::Knn(t, _)
-    | Op::NnEx(t)
-    | Op::KnnEx(t, _) = op
-    {
+    if let Op::Intersect(t) | Op::Within(t, _) | Op::Nearest { target: t, .. } = op {
         let n = node.handler.shard_info().target_objects;
         if u64::from(t) >= n {
             writer.send_error(

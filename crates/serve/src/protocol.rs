@@ -7,7 +7,7 @@
 //! offset  size  field
 //! 0       4     payload length (u32 LE, excludes the header)
 //! 4       2     magic 0x3D50 ("=P")
-//! 6       1     protocol version (exactly 8; every other value is refused)
+//! 6       1     protocol version (exactly 9; every other value is refused)
 //! 7       1     frame kind
 //! 8       8     request id (u64 LE, echoed verbatim in responses)
 //! ```
@@ -35,7 +35,7 @@ pub const MAGIC: u16 = 0x3D50;
 /// tree and is built from the same source, so there is no negotiation
 /// range: a header or `Hello` that does not cover exactly this version is
 /// answered `UnsupportedVersion`.
-pub const VERSION: u8 = 8;
+pub const VERSION: u8 = 9;
 
 /// Oldest protocol version this build accepts (the same as [`VERSION`]).
 pub const MIN_VERSION: u8 = VERSION;
@@ -64,7 +64,7 @@ const K_INTERSECT: u8 = 0x11;
 const K_WITHIN: u8 = 0x12;
 const K_NN: u8 = 0x13;
 const K_KNN: u8 = 0x14;
-const K_NN_EX: u8 = 0x15;
+// 0x15 carried the scored NN sub-query, retired in v9 for `KnnEx` at k = 1.
 const K_KNN_EX: u8 = 0x16;
 const K_HELLO_OK: u8 = 0x81;
 const K_HEALTH_OK: u8 = 0x82;
@@ -222,8 +222,8 @@ pub const TRACE_CTX_LEN: usize = 9;
 const LODS: usize = MAX_TRACKED_LOD + 1;
 
 /// Wire size of an encoded [`StatsSnapshot`] summary body (ten scalars,
-/// then `pairs_evaluated` and `pairs_pruned` at [`LODS`] entries each, all
-/// u64), after its presence tag.
+/// then `pairs_evaluated` and `pairs_pruned` at [`MAX_TRACKED_LOD`]` + 1`
+/// entries each, all u64), after its presence tag.
 pub const SUMMARY_LEN: usize = 8 * (10 + 2 * LODS);
 
 /// Client → server frames.
@@ -271,11 +271,10 @@ pub enum Request {
         k: u32,
         deadline_ms: u32,
     },
-    /// Scored nearest-neighbour sub-query: like `Nn`, but the response is
-    /// a [`Response::PageD`] carrying the exact distance — what a
-    /// coordinator needs to merge per-shard winners exactly.
-    NnEx { target: u32, deadline_ms: u32 },
-    /// Scored kNN sub-query: the `k` nearest with exact distances.
+    /// Scored kNN sub-query: like `Knn`, but the response is a
+    /// [`Response::PageD`] carrying the `k` nearest with their exact
+    /// distances — what a coordinator needs to merge per-shard winners
+    /// exactly (its NN sub-query is `k = 1`).
     KnnEx {
         target: u32,
         k: u32,
@@ -314,8 +313,8 @@ pub enum Response {
         partial: bool,
         summary: Option<StatsSnapshot>,
     },
-    /// One page of scored results `(id, exact distance)` for the `NnEx`/
-    /// `KnnEx` sub-queries, closest first.
+    /// One page of scored results `(id, exact distance)` for the `KnnEx`
+    /// sub-query, closest first.
     PageD {
         last: bool,
         partial: bool,
@@ -633,7 +632,6 @@ pub fn encode_request_traced(
         Request::Within { .. } => K_WITHIN,
         Request::Nn { .. } => K_NN,
         Request::Knn { .. } => K_KNN,
-        Request::NnEx { .. } => K_NN_EX,
         Request::KnnEx { .. } => K_KNN_EX,
     };
     let mut p = open(kind, request_id, 48);
@@ -659,10 +657,6 @@ pub fn encode_request_traced(
             deadline_ms,
         }
         | Request::Nn {
-            target,
-            deadline_ms,
-        }
-        | Request::NnEx {
             target,
             deadline_ms,
         } => {
@@ -750,10 +744,6 @@ pub fn decode_request_body_traced(
         K_KNN => Request::Knn {
             target: c.u32()?,
             k: c.u32()?,
-            deadline_ms: c.u32()?,
-        },
-        K_NN_EX => Request::NnEx {
-            target: c.u32()?,
             deadline_ms: c.u32()?,
         },
         K_KNN_EX => Request::KnnEx {
@@ -1124,22 +1114,22 @@ mod tests {
         digits.chunks(2).map(|d| d[0] << 4 | d[1]).collect()
     }
 
-    /// A v8 frame built without the encoder.
+    /// A v9 frame built without the encoder.
     fn frame(kind: u8, id: u64, payload: &[u8]) -> Vec<u8> {
         let mut f = (payload.len() as u32).to_le_bytes().to_vec();
-        f.extend_from_slice(&[0x50, 0x3D, 8, kind]);
+        f.extend_from_slice(&[0x50, 0x3D, 9, kind]);
         f.extend_from_slice(&id.to_le_bytes());
         f.extend_from_slice(payload);
         f
     }
 
-    /// Every request kind with its kind byte and v8 payload — for query
+    /// Every request kind with its kind byte and v9 payload — for query
     /// kinds, the body in front of the trace-context tag.
     #[rustfmt::skip]
     fn golden_requests() -> Vec<(Request, u8, &'static str)> {
         let (target, k, deadline_ms) = (9, 4, 250);
         vec![
-            (Request::Hello { min_version: 8, max_version: 8, role: NodeRole::Coordinator }, 0x01, "08 08 02"),
+            (Request::Hello { min_version: 9, max_version: 9, role: NodeRole::Coordinator }, 0x01, "09 09 02"),
             (Request::Health, 0x02, ""),
             (Request::Shutdown, 0x04, ""),
             (Request::Metrics, 0x05, ""),
@@ -1151,7 +1141,6 @@ mod tests {
             (Request::Within { target, d: 0.5, deadline_ms }, 0x12, "09000000 000000000000e03f fa000000"),
             (Request::Nn { target, deadline_ms }, 0x13, "09000000 fa000000"),
             (Request::Knn { target, k, deadline_ms }, 0x14, "09000000 04000000 fa000000"),
-            (Request::NnEx { target, deadline_ms }, 0x15, "09000000 fa000000"),
             (Request::KnnEx { target, k, deadline_ms }, 0x16, "09000000 04000000 fa000000"),
         ]
     }
@@ -1209,7 +1198,7 @@ mod tests {
     }
 
     /// Every response kind (both page kinds with and without a summary)
-    /// with its kind byte and v8 payload.
+    /// with its kind byte and v9 payload.
     #[rustfmt::skip]
     fn golden_responses() -> Vec<(Response, u8, String)> {
         let (s, summary_hex) = (Some(sample_summary()), summary_hex());
@@ -1219,7 +1208,7 @@ mod tests {
         };
         let busy = Response::Error { code: ErrorCode::Overloaded, message: "busy".into(), retry_after_ms: 250 };
         vec![
-            (Response::HelloOk { version: 8, role: NodeRole::Engine }, 0x81, "08 01".into()),
+            (Response::HelloOk { version: 9, role: NodeRole::Engine }, 0x81, "09 01".into()),
             (Response::HealthOk, 0x82, String::new()),
             (Response::ShutdownOk, 0x84, String::new()),
             (Response::MetricsOk(sample_metrics()), 0x85,
@@ -1242,11 +1231,11 @@ mod tests {
         ]
     }
 
-    /// The v8 layout of every frame kind, byte for byte, built without the
+    /// The v9 layout of every frame kind, byte for byte, built without the
     /// encoder: a change to any field's position, width or presence fails
     /// here before it reaches a peer.
     #[test]
-    fn v8_layout_of_every_kind_is_pinned() {
+    fn v9_layout_of_every_kind_is_pinned() {
         let ctx = TraceContext {
             trace_id: 0x0102_0304_0506_0708,
             sampled: true,
@@ -1551,8 +1540,8 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        // One version, no range: every other stamp — including each of the
-        // six retired ones — is refused in both directions.
+        // One version, no range: every other stamp — including each
+        // retired one — is refused in both directions.
         for bad in (0..VERSION).chain([VERSION + 1, u8::MAX]) {
             let mut frame = encode_request(1, &Request::Health);
             frame[6] = bad;
@@ -1599,6 +1588,17 @@ mod tests {
                 WireError::Malformed("unknown request kind")
             ));
         }
+    }
+
+    #[test]
+    fn retired_nn_ex_kind_is_refused() {
+        // A well-formed v8 `NnEx` body under a v9 header: the kind is gone,
+        // so the decoder refuses it by kind, whatever the body.
+        let nn_ex = frame(0x15, 1, &hex("09000000 fa000000 00"));
+        assert!(matches!(
+            read_request(&nn_ex).unwrap_err(),
+            WireError::Malformed("unknown request kind")
+        ));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The shard engine: a node ([`crate::node`]) that executes queries
+//! The shard engine: a node (the shared `node` skeleton) that executes queries
 //! against its own stores through a per-cuboid batch dispatcher.
 //!
 //! ## Request lifecycle
@@ -141,13 +141,10 @@ impl ShardEngine {
     /// cuboid; point probes bucket into a grid of the same pitch (high bit
     /// set so the two key spaces never collide).
     fn group_of(&self, op: &Op) -> u64 {
-        match op {
-            Op::Intersect(t)
-            | Op::Within(t, _)
-            | Op::Nn(t)
-            | Op::Knn(t, _)
-            | Op::NnEx(t)
-            | Op::KnnEx(t, _) => self.cuboid_of.get(*t as usize).copied().unwrap_or(0),
+        match *op {
+            Op::Intersect(t) | Op::Within(t, _) | Op::Nearest { target: t, .. } => {
+                self.cuboid_of.get(t as usize).copied().unwrap_or(0)
+            }
             Op::Contains(p) => {
                 let b = self.target.rtree().bounds();
                 let cell = self.cell.max(1e-9);
@@ -196,14 +193,18 @@ impl ShardEngine {
                 }),
             Op::Intersect(t) => engine.intersect_one(t, &qc, stats).map(global),
             Op::Within(t, d) => engine.within_one(t, d, &qc, stats).map(global),
-            Op::Nn(t) => engine
-                .nn_one(t, &qc, stats)
-                .map(|nn| global(nn.into_iter().collect())),
-            Op::Knn(t, k) => engine.knn_one(t, k as usize, &qc, stats).map(global),
-            // A shard's NN is its kNN top-1: the distances its own kNN tail
-            // computed are the ones the coordinator merges on.
-            Op::NnEx(t) => engine.knn_scored(t, 1, &qc, stats).map(scored),
-            Op::KnnEx(t, k) => engine.knn_scored(t, k as usize, &qc, stats).map(scored),
+            // Scored: the distances the kNN tail computed are the ones the
+            // coordinator merges on.
+            Op::Nearest {
+                target,
+                k,
+                scored: true,
+            } => engine
+                .knn_scored(target, k as usize, &qc, stats)
+                .map(scored),
+            Op::Nearest { target, k, .. } => {
+                engine.knn_one(target, k as usize, &qc, stats).map(global)
+            }
         }
     }
 

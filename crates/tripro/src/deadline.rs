@@ -5,7 +5,7 @@
 //! preemption points explicit — *between refinement rounds* every candidate
 //! is in a consistent P1/P2 early-out state, so stopping there loses no
 //! already-bought work and never yields a wrong (partial) answer, only a
-//! typed [`Error::DeadlineExceeded`](crate::Error::DeadlineExceeded).
+//! typed [`Error::DeadlineExceeded`].
 //!
 //! [`Deadline`] carries an optional wall-clock expiry plus an optional
 //! shared cancel flag (used by graceful server shutdown to abandon queued

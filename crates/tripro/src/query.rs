@@ -16,62 +16,9 @@ use crate::obs::{self, QueryOp, SpanKind};
 use crate::stats::ExecStats;
 use crate::store::{ObjectId, ObjectStore};
 use crate::sync::lock;
-use std::collections::BinaryHeap;
 use std::time::Instant;
 use tripro_geom::{Aabb, DistRange, Vec3};
-
-/// Total-order f64 wrapper so a [`BinaryHeap`] can hold distances.
-#[derive(PartialEq)]
-struct OrdF64(f64);
-
-impl Eq for OrdF64 {}
-
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// Bounded max-heap over the `k` smallest values pushed so far: `kth()` is
-/// the k-th smallest in O(1), each `push` is O(log k).
-struct KthSmallest {
-    k: usize,
-    heap: BinaryHeap<OrdF64>,
-}
-
-impl KthSmallest {
-    fn new(k: usize) -> Self {
-        Self {
-            k,
-            heap: BinaryHeap::with_capacity(k + 1),
-        }
-    }
-
-    fn push(&mut self, v: f64) {
-        if self.heap.len() < self.k {
-            self.heap.push(OrdF64(v));
-        } else if self.heap.peek().is_some_and(|top| v < top.0) {
-            self.heap.pop();
-            self.heap.push(OrdF64(v));
-        }
-    }
-
-    /// The k-th smallest value pushed so far; ∞ until `k` values are seen
-    /// (matching the "cannot tighten before k candidates settle" rule).
-    fn kth(&self) -> f64 {
-        if self.heap.len() < self.k {
-            f64::INFINITY
-        } else {
-            self.heap.peek().map_or(f64::INFINITY, |top| top.0)
-        }
-    }
-}
+use tripro_index::KthSmallest;
 
 /// Per-join context built **once** and shared by every target evaluation:
 /// the geometry computer (with its device width) and the LOD ladder.
@@ -630,55 +577,27 @@ impl<'a> Engine<'a> {
     }
 
     // -----------------------------------------------------------------
-    // Nearest-neighbour join (paper §4.3, Alg. 3)
+    // Nearest-neighbour joins (paper §4.3: Alg. 3 and its kNN extension;
+    // NN is kNN with k = 1)
     // -----------------------------------------------------------------
 
-    /// The nearest source object to target `t` (`None` for an empty source).
+    /// The nearest source object to target `t` (`None` for an empty
+    /// source): the first of [`knn_one`](Self::knn_one) at `k = 1`.
     pub fn nn_one(
         &self,
         t: ObjectId,
         cfg: &QueryConfig,
         stats: &ExecStats,
     ) -> Result<Option<ObjectId>> {
-        self.nn_one_in(&self.join_ctx(cfg), t, cfg, stats)
-    }
-
-    fn nn_one_in(
-        &self,
-        ctx: &JoinCtx,
-        t: ObjectId,
-        cfg: &QueryConfig,
-        stats: &ExecStats,
-    ) -> Result<Option<ObjectId>> {
-        let _lat = obs::time(obs::query_latency_histogram(QueryOp::Nn, ctx.fpr));
-        ctx.deadline.check()?;
-        let tm = self.target.mbb(t);
-
-        let pairs = filter(stats, || {
-            let mut pairs = self.source.rtree().nn_candidates(tm);
-            // Partition strategies tighten the initial ranges with the
-            // finer sub-object boxes.
-            if matches!(cfg.accel, Accel::Partition | Accel::PartitionGpu) {
-                for (c, r) in &mut pairs {
-                    if let Some(g) = self.group_range(*c, tm) {
-                        *r = g;
-                    }
-                }
-            }
-            pairs
-        });
-        let mut rule = Nearest::new(1, &pairs);
-        let (_, survivors) = self.refine(ctx, t, pairs, &mut rule, stats)?;
-        Ok(survivors
-            .into_iter()
-            .min_by(|a, b| a.1.max.total_cmp(&b.1.max).then(a.0.cmp(&b.0)))
-            .map(|(c, _)| c))
+        Ok(self.knn_one(t, 1, cfg, stats)?.first().copied())
     }
 
     /// Nearest-neighbour join (ANN query): the nearest source object for
     /// every target object.
     pub fn nn_join(&self, cfg: &QueryConfig) -> Result<(NnPairs, ExecStats)> {
-        self.drive(cfg, |ctx, t, stats| self.nn_one_in(ctx, t, cfg, stats))
+        let (pairs, stats) = self.knn_join(1, cfg)?;
+        let nn = pairs.into_iter().map(|(t, c)| (t, c.first().copied()));
+        Ok((nn.collect(), stats))
     }
 
     /// The `k` nearest source objects to target `t`, closest first
@@ -691,18 +610,8 @@ impl<'a> Engine<'a> {
         cfg: &QueryConfig,
         stats: &ExecStats,
     ) -> Result<Vec<ObjectId>> {
-        self.knn_one_in(&self.join_ctx(cfg), t, k, stats)
-    }
-
-    fn knn_one_in(
-        &self,
-        ctx: &JoinCtx,
-        t: ObjectId,
-        k: usize,
-        stats: &ExecStats,
-    ) -> Result<Vec<ObjectId>> {
-        let scored = self.knn_scored_in(ctx, t, k, stats)?;
-        Ok(scored.into_iter().map(|(c, _)| c).collect())
+        let nearest = self.nearest(&self.join_ctx(cfg), t, k, false, cfg, stats)?;
+        Ok(nearest.into_iter().map(|(c, _)| c).collect())
     }
 
     /// [`knn_one`](Self::knn_one) with each winner's exact distance, the
@@ -715,36 +624,66 @@ impl<'a> Engine<'a> {
         cfg: &QueryConfig,
         stats: &ExecStats,
     ) -> Result<Vec<(ObjectId, f64)>> {
-        self.knn_scored_in(&self.join_ctx(cfg), t, k, stats)
+        self.nearest(&self.join_ctx(cfg), t, k, true, cfg, stats)
     }
 
-    fn knn_scored_in(
+    /// k-nearest-neighbour join: the `k` nearest source objects for every
+    /// target object, closest first.
+    pub fn knn_join(&self, k: usize, cfg: &QueryConfig) -> Result<(JoinPairs, ExecStats)> {
+        self.drive(cfg, |ctx, t, stats| {
+            let nearest = self.nearest(ctx, t, k, false, cfg, stats)?;
+            Ok(nearest.into_iter().map(|(c, _)| c).collect())
+        })
+    }
+
+    /// The one nearest search behind NN and kNN: the `k` nearest source
+    /// objects to target `t` by `(distance, id)`, each with its exact
+    /// distance. When the caller wants ids only (`scored` false) and at
+    /// most one candidate survives refinement, nothing is left to rank:
+    /// that survivor comes back with its MAXDIST, not its exact distance,
+    /// and no top-LOD work is spent on it.
+    fn nearest(
         &self,
         ctx: &JoinCtx,
         t: ObjectId,
         k: usize,
+        scored: bool,
+        cfg: &QueryConfig,
         stats: &ExecStats,
     ) -> Result<Vec<(ObjectId, f64)>> {
         if k == 0 {
             return Ok(Vec::new());
         }
-        let _lat = obs::time(obs::query_latency_histogram(QueryOp::Knn, ctx.fpr));
+        let op = if k == 1 { QueryOp::Nn } else { QueryOp::Knn };
+        let _lat = obs::time(obs::query_latency_histogram(op, ctx.fpr));
         ctx.deadline.check()?;
+        let tm = self.target.mbb(t);
 
         let pairs = filter(stats, || {
-            self.source.rtree().knn_candidates(self.target.mbb(t), k)
+            let mut pairs = self.source.rtree().knn_candidates(tm, k);
+            // Partition strategies tighten the initial ranges with the
+            // finer sub-object boxes.
+            if matches!(cfg.accel, Accel::Partition | Accel::PartitionGpu) {
+                for (c, r) in &mut pairs {
+                    if let Some(g) = self.group_range(*c, tm) {
+                        *r = g;
+                    }
+                }
+            }
+            pairs
         });
-        if pairs.is_empty() {
-            return Ok(Vec::new());
-        }
         let mut rule = Nearest::new(k, &pairs);
         let (_, survivors) = self.refine(ctx, t, pairs, &mut rule, stats)?;
+        // Nothing to rank: NN's usual end, so NN costs what Alg. 3 costs.
+        if survivors.is_empty() || (survivors.len() == 1 && !scored) {
+            return Ok(survivors.into_iter().map(|(c, r)| (c, r.max)).collect());
+        }
 
         // Exact distances for whatever remains (bounded by the filter), then
         // take the k best.
         ctx.deadline.check()?;
         let geom_t = self.target.get(t, ctx.top(), stats)?;
-        let mut scored: Vec<(ObjectId, f64)> = Vec::with_capacity(survivors.len());
+        let mut ranked: Vec<(ObjectId, f64)> = Vec::with_capacity(survivors.len());
         for (c, r) in survivors {
             // A collapsed range is an exact distance already in hand; compare
             // bitwise (eps would falsely collapse nearly-settled ranges).
@@ -753,17 +692,11 @@ impl<'a> Engine<'a> {
             } else {
                 self.top_distance(ctx, &geom_t, t, c, r.max, stats)?
             };
-            scored.push((c, d));
+            ranked.push((c, d));
         }
-        scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        scored.truncate(k);
-        Ok(scored)
-    }
-
-    /// k-nearest-neighbour join: the `k` nearest source objects for every
-    /// target object, closest first.
-    pub fn knn_join(&self, k: usize, cfg: &QueryConfig) -> Result<(JoinPairs, ExecStats)> {
-        self.drive(cfg, |ctx, t, stats| self.knn_one_in(ctx, t, k, stats))
+        ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        ranked.truncate(k);
+        Ok(ranked)
     }
 
     /// Exact distance from target `t`, already decoded at the ladder top as
@@ -1025,36 +958,6 @@ mod tests {
             assert_eq!(engine.knn_one(1, 1, &cfg, &stats).unwrap(), vec![1]);
             assert_eq!(engine.knn_one(1, 99, &cfg, &stats).unwrap().len(), 3);
             assert!(engine.knn_one(1, 0, &cfg, &stats).unwrap().is_empty());
-        }
-    }
-
-    #[test]
-    fn kth_smallest_matches_sort_reference() {
-        // Deterministic LCG stream, checked against a full sort after
-        // every push.
-        let mut x = 7u64;
-        let mut vals: Vec<f64> = Vec::new();
-        let mut kth = KthSmallest::new(4);
-        for _ in 0..100 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let v = (x >> 11) as f64 / (1u64 << 53) as f64 * 100.0;
-            vals.push(v);
-            kth.push(v);
-            let mut sorted = vals.clone();
-            sorted.sort_by(f64::total_cmp);
-            let expect = if sorted.len() < 4 {
-                f64::INFINITY
-            } else {
-                sorted[3]
-            };
-            assert_eq!(
-                kth.kth().total_cmp(&expect),
-                std::cmp::Ordering::Equal,
-                "after {} pushes",
-                vals.len()
-            );
         }
     }
 

@@ -400,6 +400,46 @@ fn federated_metrics_aggregate_is_the_exact_sum_of_node_series() {
     }
 }
 
+/// A coordinator scatters an NN as `KnnEx { k: 1 }`; each shard runs it at
+/// k = 1, so its latency lands in `tripro_query_latency_seconds{kind="nn"}`.
+/// The registry is process-global and other tests add to it concurrently,
+/// so only a lower bound on the series' growth is asserted.
+#[test]
+fn coordinator_nn_is_timed_under_kind_nn() {
+    use tripro::obs::{query_latency_histogram, QueryOp};
+    let nn_timed = || -> u64 {
+        [false, true]
+            .iter()
+            .map(|&fpr| query_latency_histogram(QueryOp::Nn, fpr).count())
+            .sum()
+    };
+    let (target, source_objects) = build_stores(0x3D5A_0007);
+    let cluster = start_cluster(&target, &source_objects, 2, 1);
+    let mut c = Client::connect(cluster.coord.addr()).expect("connect");
+    let n = target.len() as u32;
+    let before = nn_timed();
+    for t in 0..n {
+        let nn = ids_of(
+            c.query(&Request::Nn {
+                target: t,
+                deadline_ms: u32::MAX,
+            })
+            .expect("nn"),
+        );
+        assert!(nn.len() <= 1, "target {t}: {nn:?}");
+    }
+    // Every NN reaches both shards.
+    let grown = nn_timed() - before;
+    assert!(
+        grown >= 2 * u64::from(n),
+        "{grown} NN timings for {n} queries"
+    );
+    cluster.coord.shutdown();
+    for s in cluster.shards {
+        s.shutdown();
+    }
+}
+
 /// A coordinator must refuse a cluster whose shards were partitioned
 /// under a different epoch — mixed shard maps would silently drop pairs.
 #[test]

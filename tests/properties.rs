@@ -166,7 +166,7 @@ proptest! {
         // the brute-force nearest MINDIST (any item at that MINDIST
         // qualifies: ties).
         let target = Aabb::from_point(vec3(window.0.0, window.0.1, window.0.2));
-        let cands = tree.nn_candidates(&target);
+        let cands = tree.knn_candidates(&target, 1);
         let best_d = items
             .iter()
             .map(|(bb, _)| bb.min_dist(&target))

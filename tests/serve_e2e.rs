@@ -499,3 +499,44 @@ fn any_other_version_is_refused_by_both_node_kinds() {
     coord.shutdown();
     server.shutdown();
 }
+
+/// `NnEx` (kind 0x15) was retired in v9: a coordinator asks for a scored
+/// NN as `KnnEx { k: 1 }`. A 0x15 frame — here an `Nn` body, the layout
+/// `NnEx` had — is answered `BadRequest` by a shard engine and by a
+/// coordinator alike.
+#[test]
+fn retired_nn_ex_frame_is_refused_by_both_node_kinds() {
+    use std::io::Write;
+    use tripro_serve::protocol::{self, Response};
+
+    let (server, target, _s) = start(ServeConfig::default());
+    let coord = Coordinator::start(
+        target,
+        CoordinatorConfig {
+            shards: vec![server.addr().to_string()],
+            epoch: 0,
+            ..CoordinatorConfig::default()
+        },
+    )
+    .expect("coordinator over one unsharded engine");
+    let mut frame = protocol::encode_request(
+        9,
+        &Request::Nn {
+            target: 0,
+            deadline_ms: u32::MAX,
+        },
+    );
+    frame[7] = 0x15;
+    for addr in [server.addr(), coord.addr()] {
+        let mut raw = std::net::TcpStream::connect(addr).expect("raw connect");
+        raw.write_all(&frame).expect("write");
+        match protocol::read_response(&mut raw).expect("typed reply") {
+            (9, Response::Error { code, .. }) => {
+                assert_eq!(code, ErrorCode::BadRequest, "at {addr}");
+            }
+            other => panic!("at {addr}: {other:?}"),
+        }
+    }
+    coord.shutdown();
+    server.shutdown();
+}

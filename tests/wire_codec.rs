@@ -74,7 +74,7 @@ fn metered<T>(f: impl FnOnce() -> T) -> (T, usize) {
 /// and present, a counter and a histogram series.
 #[rustfmt::skip]
 const SEEDS: &[(u8, &str)] = &[
-    (0x01, "08 08 02"),
+    (0x01, "09 09 02"),
     (0x02, ""),
     (0x04, ""),
     (0x05, ""),
@@ -85,9 +85,8 @@ const SEEDS: &[(u8, &str)] = &[
     (0x12, "09000000 000000000000e03f fa000000 00"),
     (0x13, "09000000 ffffffff 01 0100000000000000 00"),
     (0x14, "09000000 04000000 fa000000 00"),
-    (0x15, "09000000 fa000000 00"),
     (0x16, "09000000 04000000 00000000 00"),
-    (0x81, "08 01"),
+    (0x81, "09 01"),
     (0x82, ""),
     (0x84, ""),
     (0x85, "02000000 0100 6e 0100 6c 0000 00 2900000000000000 \
